@@ -32,7 +32,6 @@
 #include "bench_common.h"
 #include "kernels/cpu_dispatch.h"
 #include "net/codec.h"
-#include "net/codec_tiles.h"
 
 namespace {
 
@@ -143,18 +142,6 @@ void register_all() {
 
 // --- SIMD tier gate -----------------------------------------------------
 
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2 &&
-      net::detail::avx2_codec_compiled()) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
 // One encode+decode pass over a LeNet-sized delta through every lossy
 // codec (identity is a memcpy either way — no tier-sensitive work).
 double encode_decode_pass_ms(std::span<const float> delta) {
@@ -189,7 +176,7 @@ std::vector<TierTiming> time_tiers(std::size_t dim) {
   tensor::FlatVec delta(dim == 0 ? 16384 : dim);
   for (auto& x : delta) x = unit(gen);
 
-  const std::vector<kernels::IsaTier> tiers = available_tiers();
+  const std::vector<kernels::IsaTier> tiers = kernels::available_tiers();
   const kernels::IsaTier entry = kernels::active_tier();
   std::map<kernels::IsaTier, double> best;
   constexpr int kReps = 5;

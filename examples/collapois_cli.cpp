@@ -48,12 +48,12 @@ experiment:
                      coordinate tiles; naive = reference loops)
 
   The blocked/fast hot paths pick a SIMD microkernel at runtime from
-  cpuid (scalar | sse2 | avx2); the selected tier and detected CPU
-  features appear in the run report's "kernels" block. Set
-  COLLAPOIS_FORCE_ISA=scalar|sse2|avx2 to force a LOWER tier (forcing
-  an unsupported tier fails at startup). Coordinate defense rules are
+  cpuid (scalar | avx2); the selected tier and detected CPU features
+  appear in the run report's "kernels" block. Set
+  COLLAPOIS_FORCE_ISA=scalar|avx2 to force a LOWER tier (forcing an
+  unsupported tier fails at startup). Coordinate defense rules are
   bit-identical across tiers; GEMM results differ at rounding level
-  between avx2 (FMA) and the other tiers.
+  between avx2 (FMA) and scalar.
 
 fault injection and hardening (DESIGN.md paragraph 6):
   --dropout F        per-round client dropout probability [0, 1]   [0]
@@ -111,9 +111,6 @@ cross-device scale-out (DESIGN.md paragraph 12):
                            FedAvg and the coordinate-wise defenses;
                            Krum/Multi-Krum/FLARE need the whole
                            cohort and reject N > 1)
-  --population N           registered federation size — alias of
-                           --clients, named for the cross-device
-                           regime                                   [100]
   --lazy-clients           materialize clients (and their data) on
                            first sample instead of at startup;
                            requires --eval-max-clients > 0          [off]
@@ -333,8 +330,6 @@ int main(int argc, char** argv) {
         cfg.codec.topk_fraction = v;
       } else if (flag == "--shards") {
         cfg.shards = parse_count(flag, value());
-      } else if (flag == "--population") {
-        cfg.n_clients = parse_count(flag, value());
       } else if (flag == "--lazy-clients") {
         cfg.lazy_clients = true;
       } else if (flag == "--eval-every") {
@@ -413,7 +408,7 @@ int main(int argc, char** argv) {
   }
 
   if (cfg.n_clients == 0) {
-    usage("--clients/--population must be at least 1");
+    usage("--clients must be at least 1");
   }
   if (cfg.rounds == 0) usage("--rounds must be at least 1");
   if (cfg.sample_prob <= 0.0) usage("--q must be in (0, 1]");
@@ -424,7 +419,7 @@ int main(int argc, char** argv) {
   if (cfg.shards == 0) usage("--shards must be at least 1");
   if (cfg.shards > cfg.n_clients) {
     usage("--shards must not exceed the registered population "
-          "(--clients/--population)");
+          "(--clients)");
   }
   {
     // A shard count beyond the expected round cohort means structurally

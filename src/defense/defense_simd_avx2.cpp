@@ -3,7 +3,7 @@
 // keeps these functions off CPUs that cannot execute them; on non-x86
 // targets this TU compiles to a stub and the tier caps below avx2.
 //
-// Same lane semantics as the scalar/sse2 tiles (defense_tiles.cpp):
+// Same lane semantics as the scalar tiles (defense_tiles.cpp):
 // vminps/vmaxps compare-exchanges for the sort network, one
 // float->double convert + add per lane in i-ascending order for the
 // vote sums, compare-mask subtraction for the sign counts — so outputs

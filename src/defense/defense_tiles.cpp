@@ -1,4 +1,4 @@
-// Scalar and sse2 defense column tiles, plus the tier dispatch. The avx2
+// Scalar defense column tiles, plus the tier dispatch. The avx2
 // tiles live in defense_simd_avx2.cpp (the only defense TU built with
 // -mavx2 -mfma).
 //
@@ -10,10 +10,6 @@
 #include "defense/defense_tiles.h"
 
 #include "kernels/cpu_dispatch.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace collapois::defense::detail {
 
@@ -50,78 +46,14 @@ void scalar_vote_lanes(const float* base, std::size_t n, std::size_t stride,
   }
 }
 
-#if defined(__SSE2__)
-
-void sse2_sort_lanes(float* buf, std::size_t n) {
-  for_each_sort_pair(n, [buf](std::size_t a, std::size_t b) {
-    float* ra = buf + a * W;
-    float* rb = buf + b * W;
-    const __m128 x0 = _mm_loadu_ps(ra);
-    const __m128 x1 = _mm_loadu_ps(ra + 4);
-    const __m128 y0 = _mm_loadu_ps(rb);
-    const __m128 y1 = _mm_loadu_ps(rb + 4);
-    _mm_storeu_ps(ra, _mm_min_ps(x0, y0));
-    _mm_storeu_ps(ra + 4, _mm_min_ps(x1, y1));
-    _mm_storeu_ps(rb, _mm_max_ps(x0, y0));
-    _mm_storeu_ps(rb + 4, _mm_max_ps(x1, y1));
-  });
-}
-
-void sse2_vote_lanes(const float* base, std::size_t n, std::size_t stride,
-                     double* sums, std::int32_t* counts) {
-  const __m128 zero = _mm_setzero_ps();
-  __m128d s0 = _mm_setzero_pd();  // lanes 0-1
-  __m128d s1 = _mm_setzero_pd();  // lanes 2-3
-  __m128d s2 = _mm_setzero_pd();  // lanes 4-5
-  __m128d s3 = _mm_setzero_pd();  // lanes 6-7
-  __m128i c0 = _mm_setzero_si128();  // lanes 0-3
-  __m128i c1 = _mm_setzero_si128();  // lanes 4-7
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = base + i * stride;
-    const __m128 x0 = _mm_loadu_ps(row);
-    const __m128 x1 = _mm_loadu_ps(row + 4);
-    // One float->double convert + add per lane, i-ascending: the exact
-    // op sequence of the scalar accumulation, eight lanes at a time.
-    s0 = _mm_add_pd(s0, _mm_cvtps_pd(x0));
-    s1 = _mm_add_pd(s1, _mm_cvtps_pd(_mm_movehl_ps(x0, x0)));
-    s2 = _mm_add_pd(s2, _mm_cvtps_pd(x1));
-    s3 = _mm_add_pd(s3, _mm_cvtps_pd(_mm_movehl_ps(x1, x1)));
-    // Sign count via compare masks: subtracting an all-ones (-1) mask
-    // increments, adding it decrements — branch-free x>0 minus x<0.
-    c0 = _mm_sub_epi32(c0, _mm_castps_si128(_mm_cmpgt_ps(x0, zero)));
-    c0 = _mm_add_epi32(c0, _mm_castps_si128(_mm_cmplt_ps(x0, zero)));
-    c1 = _mm_sub_epi32(c1, _mm_castps_si128(_mm_cmpgt_ps(x1, zero)));
-    c1 = _mm_add_epi32(c1, _mm_castps_si128(_mm_cmplt_ps(x1, zero)));
-  }
-  _mm_storeu_pd(sums + 0, s0);
-  _mm_storeu_pd(sums + 2, s1);
-  _mm_storeu_pd(sums + 4, s2);
-  _mm_storeu_pd(sums + 6, s3);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(counts + 0), c0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(counts + 4), c1);
-}
-
-#endif  // __SSE2__
-
 }  // namespace
 
 const DefenseTileOps kScalarTiles{scalar_sort_lanes, scalar_vote_lanes};
 
-#if defined(__SSE2__)
-const DefenseTileOps kSse2Tiles{sse2_sort_lanes, sse2_vote_lanes};
-#endif
-
 const DefenseTileOps& defense_tile_ops() {
-  switch (kernels::active_tier()) {
-#if defined(__SSE2__)
-    case kernels::IsaTier::sse2:
-      return kSse2Tiles;
-#endif
-    case kernels::IsaTier::avx2:
-      if (avx2_tiles_compiled()) return avx2_tiles();
-      break;
-    default:
-      break;
+  if (kernels::active_tier() == kernels::IsaTier::avx2 &&
+      avx2_tiles_compiled()) {
+    return avx2_tiles();
   }
   return kScalarTiles;
 }

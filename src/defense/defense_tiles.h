@@ -26,9 +26,9 @@
 //                  swap or duplicate ±0.0 — every downstream rule is
 //                  insensitive to zero sign, see defense_kernels.cpp).
 //
-// Scalar / sse2 / avx2 variants exist for both; the scalar variant
-// mirrors the SIMD min/max and mask semantics exactly ((a < b) ? a : b,
-// not std::min), so all three tiers produce identical buffers.
+// Scalar and avx2 variants exist for both; the scalar variant mirrors
+// the SIMD min/max and mask semantics exactly ((a < b) ? a : b, not
+// std::min), so both tiers produce identical buffers.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +37,9 @@
 namespace collapois::defense::detail {
 
 // Lane width of the column tiles. Fixed at 8 for every tier (avx2 = one
-// 256-bit vector, sse2 = two 128-bit vectors, scalar = an 8-array) so the
-// lane-group geometry — and thus the column->group assignment — never
-// depends on the dispatch tier.
+// 256-bit vector, scalar = an 8-array) so the lane-group geometry — and
+// thus the column->group assignment — never depends on the dispatch
+// tier.
 inline constexpr std::size_t kTileLanes = 8;
 
 struct DefenseTileOps {
@@ -58,9 +58,6 @@ const DefenseTileOps& defense_tile_ops();
 // Tier tables (defense_tiles.cpp; avx2 in defense_simd_avx2.cpp, built
 // with -mavx2 -mfma — stubbed to compiled()==false on other targets).
 extern const DefenseTileOps kScalarTiles;
-#if defined(__SSE2__)
-extern const DefenseTileOps kSse2Tiles;
-#endif
 bool avx2_tiles_compiled();
 const DefenseTileOps& avx2_tiles();
 

@@ -3,13 +3,9 @@
 // im2col/col2im.
 //
 // The blocking structure lives in gemm_driver.h, templated on the
-// microkernel policy; this TU instantiates the portable tiers:
-//   - scalar 4x8: the original C++ register tile, auto-vectorized at -O3.
-//     Always available; the reference the SIMD tiers are tested against.
-//   - sse2 4x8: explicit 128-bit intrinsics, mul-then-add per lane in the
-//     same order as the scalar tile — bit-identical results, but the
-//     hand-scheduled loads/broadcasts beat what -O3 extracts from the
-//     scalar loop on some compilers.
+// microkernel policy; this TU instantiates the portable scalar tier: the
+// 4x8 C++ register tile, auto-vectorized at -O3 (SSE2 on x86-64). It is
+// always available and the reference the avx2 tier is tested against.
 // The avx2 8x8 FMA tier lives in simd_avx2.cpp (built with -mavx2 -mfma,
 // selected only when cpuid reports the CPU can run it).
 //
@@ -22,11 +18,11 @@
 //
 // Determinism: per tier, results are bit-identical run-to-run and across
 // thread counts (the im2col/col2im batch fan-out writes disjoint ranges).
-// Across tiers, scalar == sse2 bitwise; avx2 GEMM differs only by the FMA
-// rounding and stays inside the cross-set tolerance. The reduction order
-// differs from the naive set's (float tiles vs double dot products),
-// which is why the two SETS agree only to elementwise tolerance and the
-// kernel KIND — never the dispatch tier — is checkpoint-fingerprinted.
+// Across tiers, avx2 GEMM differs from scalar only by the FMA rounding
+// and stays inside the cross-set tolerance. The reduction order differs
+// from the naive set's (float tiles vs double dot products), which is
+// why the two SETS agree only to elementwise tolerance and the kernel
+// KIND — never the dispatch tier — is checkpoint-fingerprinted.
 #include <algorithm>
 #include <cstring>
 
@@ -36,10 +32,6 @@
 #include "kernels/ops_internal.h"
 #include "kernels/workspace.h"
 #include "runtime/parallel.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace collapois::kernels::detail {
 
@@ -67,46 +59,12 @@ struct ScalarMicro4x8 {
   }
 };
 
-#if defined(__SSE2__)
-// Same tile, same per-lane mul-then-add order, 128-bit registers: two
-// xmm accumulators per row (cols 0..3 and 4..7), broadcast of a[i] via
-// set1. Bit-identical to ScalarMicro4x8 — mulps/addps round exactly like
-// the scalar multiply and add.
-struct Sse2Micro4x8 {
-  static constexpr std::size_t MR = 4;
-  static constexpr std::size_t NR = 8;
-  static void micro(std::size_t kc, const float* ap, const float* bp,
-                    float* acc) {
-    __m128 c[MR][2];
-    for (std::size_t i = 0; i < MR; ++i) {
-      c[i][0] = _mm_setzero_ps();
-      c[i][1] = _mm_setzero_ps();
-    }
-    for (std::size_t p = 0; p < kc; ++p) {
-      const __m128 b0 = _mm_loadu_ps(bp + p * NR);
-      const __m128 b1 = _mm_loadu_ps(bp + p * NR + 4);
-      const float* a = ap + p * MR;
-      for (std::size_t i = 0; i < MR; ++i) {
-        const __m128 av = _mm_set1_ps(a[i]);
-        c[i][0] = _mm_add_ps(c[i][0], _mm_mul_ps(av, b0));
-        c[i][1] = _mm_add_ps(c[i][1], _mm_mul_ps(av, b1));
-      }
-    }
-    for (std::size_t i = 0; i < MR; ++i) {
-      _mm_storeu_ps(acc + i * NR, c[i][0]);
-      _mm_storeu_ps(acc + i * NR + 4, c[i][1]);
-    }
-  }
-};
-#endif
-
-// --- streaming paths (scalar/sse2 tiers) --------------------------------
+// --- streaming paths (scalar tier) --------------------------------------
 //
 // These are forward declarations; definitions follow the routing cutoffs
-// below. scalar and sse2 share them (the compiler's SSE2 auto-
-// vectorization of these plain streams is already as good as hand-held
-// 128-bit intrinsics), which keeps the two tiers bit-identical. The avx2
-// tier overrides them with FMA versions in simd_avx2.cpp.
+// below. The compiler's SSE2 auto-vectorization of these plain streams is
+// as good as hand-held 128-bit intrinsics. The avx2 tier overrides them
+// with FMA versions in simd_avx2.cpp.
 void dot_abt_accum(const float* a, const float* b, float* c, std::size_t m,
                    std::size_t k, std::size_t n, const float* col_bias,
                    float* a_row_sums);
@@ -135,29 +93,11 @@ constexpr TierOps kScalarTier{TierGemm<ScalarMicro4x8>::gemm,
                               base_im2col,
                               base_col2im_add};
 
-#if defined(__SSE2__)
-constexpr TierOps kSse2Tier{TierGemm<Sse2Micro4x8>::gemm,
-                            TierGemm<Sse2Micro4x8>::gemm_a_bt_accum,
-                            TierGemm<Sse2Micro4x8>::gemm_at_b_accum,
-                            naive_gemm,
-                            dot_abt_accum,
-                            axpy_atb_accum,
-                            base_im2col,
-                            base_col2im_add};
-#endif
-
 const TierOps& tier_ops() {
-  switch (active_tier()) {
-#if defined(__SSE2__)
-    case IsaTier::sse2:
-      return kSse2Tier;
-#endif
-    case IsaTier::avx2:
-      if (avx2_tier_compiled()) return avx2_tier_ops();
-      break;  // built without the AVX2 TU: cpu_dispatch caps the tier,
-              // but fall back rather than crash if it didn't
-    default:
-      break;
+  // A build without the AVX2 TU caps the detected tier at scalar, but
+  // fall back rather than crash if avx2 was somehow selected anyway.
+  if (active_tier() == IsaTier::avx2 && avx2_tier_compiled()) {
+    return avx2_tier_ops();
   }
   return kScalarTier;
 }
@@ -378,3 +318,11 @@ void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
 }
 
 }  // namespace collapois::kernels::detail
+
+namespace collapois::kernels {
+
+bool blocked_routes_to_naive(std::size_t m, std::size_t k, std::size_t n) {
+  return detail::small_problem(m, k, n);
+}
+
+}  // namespace collapois::kernels

@@ -75,7 +75,7 @@ void init_active_tier() {
     } catch (const std::invalid_argument&) {
       throw std::runtime_error(
           std::string("COLLAPOIS_FORCE_ISA: unknown tier '") + forced_name +
-          "' (expected scalar | sse2 | avx2)");
+          "' (expected scalar | avx2)");
     }
     if (want > tier) {
       throw std::runtime_error(
@@ -95,7 +95,6 @@ void init_active_tier() {
 const char* isa_tier_name(IsaTier tier) {
   switch (tier) {
     case IsaTier::scalar: return "scalar";
-    case IsaTier::sse2: return "sse2";
     case IsaTier::avx2: return "avx2";
   }
   return "unknown";
@@ -103,7 +102,6 @@ const char* isa_tier_name(IsaTier tier) {
 
 IsaTier parse_isa_tier(const std::string& name) {
   if (name == "scalar") return IsaTier::scalar;
-  if (name == "sse2") return IsaTier::sse2;
   if (name == "avx2") return IsaTier::avx2;
   throw std::invalid_argument("parse_isa_tier: unknown tier '" + name + "'");
 }
@@ -119,8 +117,13 @@ IsaTier detected_tier() {
   // without FMA (no real silicon ships this way) still falls back. A
   // build whose toolchain could not compile the AVX2 TU caps here too.
   if (f.avx2 && f.fma && detail::avx2_tier_compiled()) return IsaTier::avx2;
-  if (f.sse2) return IsaTier::sse2;
   return IsaTier::scalar;
+}
+
+std::vector<IsaTier> available_tiers() {
+  std::vector<IsaTier> tiers{IsaTier::scalar};
+  if (detected_tier() == IsaTier::avx2) tiers.push_back(IsaTier::avx2);
+  return tiers;
 }
 
 IsaTier active_tier() {
@@ -146,11 +149,6 @@ DispatchInfo dispatch_info() {
   switch (d.tier) {
     case IsaTier::scalar:
       d.microkernel = "scalar-4x8";
-      d.mr = 4;
-      d.nr = 8;
-      break;
-    case IsaTier::sse2:
-      d.microkernel = "sse2-4x8";
       d.mr = 4;
       d.nr = 8;
       break;

@@ -3,24 +3,20 @@
 // One binary runs correctly everywhere: the instruction-set tier used by
 // the blocked GEMM microkernel and the vectorized defense column tiles is
 // selected at runtime from cpuid-reported features, never by compile-time
-// flags alone. Three tiers exist:
+// flags alone. Two tiers exist:
 //
-//   scalar — the portable C++ microkernels (auto-vectorized at -O3);
-//            always available, and the reference the other tiers are
-//            property-tested against.
-//   sse2   — explicit 128-bit intrinsics. Bit-identical to the scalar
-//            tier for every op: the per-lane operation order and
-//            mul-then-add rounding are the same, only the register width
-//            differs.
+//   scalar — the portable C++ microkernels (auto-vectorized at -O3, so
+//            SSE2 on x86-64); always available, and the reference the
+//            avx2 tier is property-tested against.
 //   avx2   — 256-bit intrinsics with FMA. The defense column tiles stay
 //            exactly equal to scalar (per-lane identical operation
 //            order); the GEMM microkernel uses fused multiply-add (one
 //            rounding instead of two), so GEMM results agree with the
-//            other tiers only to the cross-set elementwise tolerance.
+//            scalar tier only to the cross-set elementwise tolerance.
 //
 // Selection happens once, on first use: the best tier the CPU supports,
 // unless the COLLAPOIS_FORCE_ISA environment variable names a LOWER tier
-// ("scalar" | "sse2" | "avx2") — the CI dispatch matrix runs the property
+// ("scalar" | "avx2") — the CI dispatch matrix runs the property
 // suites under each forced tier. Forcing a tier the CPU cannot execute is
 // a loud error, not a crash-later: dispatch initialization throws.
 //
@@ -33,10 +29,11 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 namespace collapois::kernels {
 
-enum class IsaTier { scalar = 0, sse2 = 1, avx2 = 2 };
+enum class IsaTier { scalar, avx2 };
 
 const char* isa_tier_name(IsaTier tier);
 // Throws std::invalid_argument on an unknown name.
@@ -55,8 +52,12 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 // The best tier cpu_features() supports (avx2 requires AVX2 *and* FMA
-// *and* OS YMM state; sse2 requires SSE2; otherwise scalar).
+// *and* OS YMM state; otherwise scalar).
 IsaTier detected_tier();
+
+// Every tier this CPU can run, lowest first — what the property suites
+// and benches sweep.
+std::vector<IsaTier> available_tiers();
 
 // The tier the kernels actually run. Initialized on first call: the
 // COLLAPOIS_FORCE_ISA override when set (throws std::runtime_error if it

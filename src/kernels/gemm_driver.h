@@ -22,10 +22,10 @@
 // results are bit-identical run-to-run. KC/MC/NC are shared by every
 // tier, so each output element sees the same p-ascending reduction order
 // under every policy; tiers differ at most in the rounding of the
-// multiply-accumulate itself (scalar and sse2 are mul-then-add and
-// bit-identical; avx2 fuses them, single rounding, within the cross-set
-// tolerance). MR/NR only regroup rows/columns into panels — the padded
-// lanes accumulate zeros that the bounded store discards.
+// multiply-accumulate itself (scalar is mul-then-add; avx2 fuses them,
+// single rounding, within the cross-set tolerance). MR/NR only regroup
+// rows/columns into panels — the padded lanes accumulate zeros that the
+// bounded store discards.
 #pragma once
 
 #include <algorithm>

@@ -101,6 +101,12 @@ KernelKind active_kernels();
 const KernelOps& ops();                    // the active set
 const KernelOps& ops_for(KernelKind kind); // a specific set
 
+// True when the blocked set runs an m x k x n GEMM (any of its three
+// variants: the MAC count m*k*n decides) through the shared naive loops,
+// the small-problem routing in blocked.cpp. Both sets then execute the
+// same code, so a timing ratio between them measures only noise.
+bool blocked_routes_to_naive(std::size_t m, std::size_t k, std::size_t n);
+
 // --- kernel-internal parallelism ----------------------------------------
 // The conv lowering fans its per-image im2col/col2im passes out over this
 // thread-local pool (nullptr = run inline; see runtime/parallel.h). Each

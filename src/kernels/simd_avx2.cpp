@@ -14,8 +14,8 @@
 // from the A panel per reduction step — 16 FMAs per 2 loads at the
 // unroll-by-2 steady state, comfortably inside the 16-register budget.
 //
-// Numerics: vfmadd rounds the multiply-add once where the scalar/sse2
-// tiers round twice, so GEMM results differ from those tiers at the
+// Numerics: vfmadd rounds the multiply-add once where the scalar tier
+// rounds twice, so GEMM results differ from that tier at the
 // last-ulp level (inside the cross-set tolerance the property suites
 // enforce). The reduction ORDER is identical — same KC/MC/NC blocking,
 // same p-ascending accumulation — so the difference never compounds

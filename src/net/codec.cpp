@@ -7,10 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "kernels/cpu_dispatch.h"
 #include "net/codec_tiles.h"
 
@@ -82,198 +78,6 @@ void scalar_scatter_add(const std::uint32_t* idx, const float* val,
   for (std::size_t i = 0; i < k; ++i) dst[idx[i]] += val[i];
 }
 
-// ---- sse2 tier ---------------------------------------------------------
-//
-// The integer half<->float construction above, four lanes at a time, with
-// compare masks in place of the branches; remainders go through the
-// scalar elementwise helpers, so the output is bitwise identical to the
-// scalar tier.
-
-#if defined(__SSE2__)
-
-void sse2_f32_to_f16(const float* src, std::uint16_t* dst, std::size_t n) {
-  const __m128i abs_mask = _mm_set1_epi32(0x7fffffff);
-  const __m128i f32_infty = _mm_set1_epi32(255 << 23);
-  const __m128i f16_max = _mm_set1_epi32((127 + 16) << 23);
-  const __m128i denorm_cut = _mm_set1_epi32(113 << 23);
-  const __m128 denorm_magic = _mm_set1_ps(0.5f);
-  const __m128i denorm_magic_bits = _mm_set1_epi32(0x3f000000);
-  const __m128i exp_rebias = _mm_set1_epi32(
-      static_cast<int>((static_cast<std::uint32_t>(15 - 127) << 23) + 0xfff));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i f =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i sign16 =
-        _mm_and_si128(_mm_srli_epi32(f, 16), _mm_set1_epi32(0x8000));
-    const __m128i a = _mm_and_si128(f, abs_mask);
-
-    // Special lanes (integer compares are signed, but every operand here
-    // has the sign bit clear, so the order is the unsigned order).
-    const __m128i is_naninf = _mm_cmpgt_epi32(a, _mm_sub_epi32(f32_infty,
-                                                               _mm_set1_epi32(1)));
-    const __m128i is_nan = _mm_cmpgt_epi32(a, f32_infty);
-    const __m128i is_overflow =
-        _mm_cmpgt_epi32(a, _mm_sub_epi32(f16_max, _mm_set1_epi32(1)));
-    const __m128i is_denorm = _mm_cmplt_epi32(a, denorm_cut);
-
-    // Subnormal path: one RNE float add, then strip the magic bits.
-    const __m128 dn =
-        _mm_add_ps(_mm_castsi128_ps(a), denorm_magic);
-    const __m128i dn_bits =
-        _mm_sub_epi32(_mm_castps_si128(dn), denorm_magic_bits);
-
-    // Normal path: rebias + round-to-nearest-even via the odd-mantissa
-    // increment.
-    const __m128i mant_odd =
-        _mm_and_si128(_mm_srli_epi32(a, 13), _mm_set1_epi32(1));
-    const __m128i nm =
-        _mm_srli_epi32(_mm_add_epi32(_mm_add_epi32(a, exp_rebias), mant_odd),
-                       13);
-
-    const __m128i naninf_val = _mm_or_si128(
-        _mm_and_si128(is_nan, _mm_set1_epi32(0x7e00)),
-        _mm_andnot_si128(is_nan, _mm_set1_epi32(0x7c00)));
-
-    __m128i h = _mm_or_si128(_mm_and_si128(is_denorm, dn_bits),
-                             _mm_andnot_si128(is_denorm, nm));
-    h = _mm_or_si128(_mm_and_si128(is_overflow, _mm_set1_epi32(0x7c00)),
-                     _mm_andnot_si128(is_overflow, h));
-    h = _mm_or_si128(_mm_and_si128(is_naninf, naninf_val),
-                     _mm_andnot_si128(is_naninf, h));
-    h = _mm_or_si128(h, sign16);
-
-    // Four u32 lanes -> four u16s. packs_epi32 saturates SIGNED, and a
-    // negative half has lane value >= 0x8000, so bias the lanes down into
-    // int16 range, pack, and undo the bias in 16-bit space.
-    const __m128i biased = _mm_sub_epi32(h, _mm_set1_epi32(0x8000));
-    const __m128i packed = _mm_xor_si128(
-        _mm_packs_epi32(biased, biased),
-        _mm_set1_epi16(static_cast<short>(0x8000)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i), packed);
-  }
-  for (; i < n; ++i) dst[i] = half_from_float(src[i]);
-}
-
-void sse2_f16_to_f32(const std::uint16_t* src, float* dst, std::size_t n) {
-  const __m128i shifted_exp = _mm_set1_epi32(0x7c00 << 13);
-  const __m128i exp_adjust = _mm_set1_epi32((127 - 15) << 23);
-  const __m128i naninf_adjust = _mm_set1_epi32((128 - 16) << 23);
-  const __m128 denorm_magic = _mm_castsi128_ps(_mm_set1_epi32(113 << 23));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i h16 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i h = _mm_unpacklo_epi16(h16, _mm_setzero_si128());
-    const __m128i mag =
-        _mm_slli_epi32(_mm_and_si128(h, _mm_set1_epi32(0x7fff)), 13);
-    const __m128i exp = _mm_and_si128(mag, shifted_exp);
-    __m128i o = _mm_add_epi32(mag, exp_adjust);
-
-    const __m128i is_naninf = _mm_cmpeq_epi32(exp, shifted_exp);
-    const __m128i is_denorm = _mm_cmpeq_epi32(exp, _mm_setzero_si128());
-
-    o = _mm_add_epi32(o, _mm_and_si128(is_naninf, naninf_adjust));
-    const __m128i dn_bits = _mm_add_epi32(o, _mm_set1_epi32(1 << 23));
-    const __m128 dn =
-        _mm_sub_ps(_mm_castsi128_ps(dn_bits), denorm_magic);
-    o = _mm_or_si128(_mm_and_si128(is_denorm, _mm_castps_si128(dn)),
-                     _mm_andnot_si128(is_denorm, o));
-    const __m128i sign =
-        _mm_slli_epi32(_mm_and_si128(h, _mm_set1_epi32(0x8000)), 16);
-    o = _mm_or_si128(o, sign);
-    _mm_storeu_ps(dst + i, _mm_castsi128_ps(o));
-  }
-  for (; i < n; ++i) dst[i] = float_from_half(src[i]);
-}
-
-void sse2_absmax_scan(const float* src, std::size_t n, float* max_abs,
-                      bool* all_finite) {
-  const __m128i abs_mask = _mm_set1_epi32(0x7fffffff);
-  const __m128i exp_mask = _mm_set1_epi32(0x7f800000);
-  __m128 m = _mm_setzero_ps();
-  __m128i nonfinite = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i bits =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    nonfinite = _mm_or_si128(
-        nonfinite, _mm_cmpeq_epi32(_mm_and_si128(bits, exp_mask), exp_mask));
-    m = _mm_max_ps(m, _mm_castsi128_ps(_mm_and_si128(bits, abs_mask)));
-  }
-  // Horizontal max over the four lanes (order-free for non-NaN values).
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, m);
-  float mm = lanes[0];
-  mm = (mm < lanes[1]) ? lanes[1] : mm;
-  mm = (mm < lanes[2]) ? lanes[2] : mm;
-  mm = (mm < lanes[3]) ? lanes[3] : mm;
-  bool finite = _mm_movemask_epi8(nonfinite) == 0;
-  float tail_max = 0.0f;
-  bool tail_finite = true;
-  scalar_absmax_scan(src + i, n - i, &tail_max, &tail_finite);
-  mm = (mm < tail_max) ? tail_max : mm;
-  *max_abs = mm;
-  *all_finite = finite && tail_finite;
-}
-
-void sse2_quantize_i8(const float* src, std::int8_t* dst, std::size_t n,
-                      float inv_scale) {
-  const __m128 vs = _mm_set1_ps(inv_scale);
-  const __m128i lo = _mm_set1_epi32(-127);
-  const __m128i hi = _mm_set1_epi32(127);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // cvtps_epi32 rounds to nearest even under the default MXCSR mode —
-    // the same rne as the scalar nearbyintf path.
-    __m128i q = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(src + i), vs));
-    // Integer clamp without pminsd/pmaxsd (SSE4.1): blend via masks.
-    const __m128i gt = _mm_cmpgt_epi32(q, hi);
-    q = _mm_or_si128(_mm_and_si128(gt, hi), _mm_andnot_si128(gt, q));
-    const __m128i lt = _mm_cmplt_epi32(q, lo);
-    q = _mm_or_si128(_mm_and_si128(lt, lo), _mm_andnot_si128(lt, q));
-    alignas(16) std::int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), q);
-    dst[i + 0] = static_cast<std::int8_t>(lanes[0]);
-    dst[i + 1] = static_cast<std::int8_t>(lanes[1]);
-    dst[i + 2] = static_cast<std::int8_t>(lanes[2]);
-    dst[i + 3] = static_cast<std::int8_t>(lanes[3]);
-  }
-  scalar_quantize_i8(src + i, dst + i, n - i, inv_scale);
-}
-
-void sse2_dequantize_i8(const std::int8_t* src, float* dst, std::size_t n,
-                        float scale) {
-  const __m128 vs = _mm_set1_ps(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Sign-extend four int8s to int32 lanes, convert, scale.
-    __m128i b = _mm_cvtsi32_si128(0);
-    std::int32_t word = 0;
-    std::memcpy(&word, src + i, sizeof(word));
-    b = _mm_cvtsi32_si128(word);
-    b = _mm_unpacklo_epi8(b, b);
-    b = _mm_unpacklo_epi16(b, b);
-    b = _mm_srai_epi32(b, 24);
-    _mm_storeu_ps(dst + i, _mm_mul_ps(_mm_cvtepi32_ps(b), vs));
-  }
-  scalar_dequantize_i8(src + i, dst + i, n - i, scale);
-}
-
-void sse2_abs_values(const float* src, float* dst, std::size_t n) {
-  const __m128i abs_mask = _mm_set1_epi32(0x7fffffff);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i bits =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_and_si128(bits, abs_mask));
-  }
-  scalar_abs_values(src + i, dst + i, n - i);
-}
-
-#endif  // __SSE2__
-
 }  // namespace
 
 const CodecOps kScalarCodecOps{
@@ -282,25 +86,10 @@ const CodecOps kScalarCodecOps{
     scalar_scatter_add,
 };
 
-#if defined(__SSE2__)
-const CodecOps kSse2CodecOps{
-    sse2_f32_to_f16,   sse2_f16_to_f32,   sse2_absmax_scan,
-    sse2_quantize_i8,  sse2_dequantize_i8, sse2_abs_values,
-    scalar_scatter_add,
-};
-#endif
-
 const CodecOps& codec_ops() {
-  switch (kernels::active_tier()) {
-#if defined(__SSE2__)
-    case kernels::IsaTier::sse2:
-      return kSse2CodecOps;
-#endif
-    case kernels::IsaTier::avx2:
-      if (avx2_codec_compiled()) return avx2_codec_ops();
-      break;
-    default:
-      break;
+  if (kernels::active_tier() == kernels::IsaTier::avx2 &&
+      avx2_codec_compiled()) {
+    return avx2_codec_ops();
   }
   return kScalarCodecOps;
 }

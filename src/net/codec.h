@@ -30,7 +30,7 @@
 // Both link ends must agree on the codec; negotiate_codec models the
 // handshake (the server offers its configured codec, the client masks it
 // against its capabilities, identity is the universal fallback). The
-// encoded bytes are BIT-IDENTICAL across the scalar/sse2/avx2 dispatch
+// encoded bytes are BIT-IDENTICAL across the scalar/avx2 dispatch
 // tiers (see codec_tiles.h), so the wire format never depends on the
 // host CPU and the codec config — not the tier — is what the checkpoint
 // fingerprints (sim/checkpoint.h codec_fingerprint).

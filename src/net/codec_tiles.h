@@ -2,7 +2,7 @@
 // runtime ISA tier as the GEMM microkernels and the defense column tiles
 // (kernels/cpu_dispatch.h). Only codec.cpp and the tier TUs include this.
 //
-// Every op is elementwise or an order-free reduction, so all three tiers
+// Every op is elementwise or an order-free reduction, so both tiers
 // produce BIT-IDENTICAL results — stronger than the GEMM tiers' tolerance
 // contract, and deliberately so: the encoded payload bytes feed the
 // Envelope checksum, and a tier-dependent encoding would make the wire
@@ -10,7 +10,7 @@
 //
 //   f32_to_f16 / f16_to_f32 — branch-free integer IEEE-754 binary32 <->
 //       binary16 conversion with round-to-nearest-even (the float add in
-//       the subnormal path is RNE in scalar and in addps/vaddps alike).
+//       the subnormal path is RNE in scalar and in vaddps alike).
 //       No F16C instructions: the same bit manipulation runs on every
 //       tier, so no extra cpuid lane is needed.
 //   absmax_scan — max|x| (an associative, commutative reduction over
@@ -55,9 +55,6 @@ const CodecOps& codec_ops();
 // Tier tables (codec.cpp; avx2 in codec_simd_avx2.cpp, built with
 // -mavx2 -mfma — stubbed to compiled()==false on other targets).
 extern const CodecOps kScalarCodecOps;
-#if defined(__SSE2__)
-extern const CodecOps kSse2CodecOps;
-#endif
 bool avx2_codec_compiled();
 const CodecOps& avx2_codec_ops();
 

@@ -114,6 +114,7 @@ void write_rounds_json(std::ostream& os, const ExperimentConfig& config,
        << ", \"skipped\": " << (r.aggregate_skipped ? "true" : "false")
        << ", \"dist_to_x\": " << JsonNum{r.distance_to_x}
        << ", \"wall_ms\": " << r.wall_ms
+       << ", \"train_ms\": " << r.train_ms
        << ", \"agg_ms\": " << r.agg_ms
        << ", \"clients_per_sec\": " << r.clients_per_sec;
     if (config.net.enabled) {

@@ -39,7 +39,7 @@ void write_series_csv(std::ostream& os, const std::vector<SeriesRow>& rows);
 // telemetry included:
 // {"tag": ..., "rounds": [{"round": 0, "accepted": ..., "dropped": ...,
 // "rejected": ..., "stragglers": ..., "skipped": ..., "dist_to_x": ...,
-// "wall_ms": ..., "agg_ms": ..., "clients_per_sec": ...,
+// "wall_ms": ..., "train_ms": ..., "agg_ms": ..., "clients_per_sec": ...,
 // "benign_ac": ..., "attack_sr": ...}, ...]}. benign_ac/attack_sr appear
 // only on rounds where the periodic evaluation ran.
 void write_rounds_json(std::ostream& os, const ExperimentConfig& config,

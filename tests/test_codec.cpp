@@ -2,7 +2,7 @@
 // parsing/validation and the per-link negotiation, the binary16
 // conversion contract, lossy round-trip tolerances on adversarial
 // tensors (odd lengths, zeros, subnormals, large magnitudes),
-// bit-identical encoded bytes across the scalar/sse2/avx2 dispatch
+// bit-identical encoded bytes across the scalar/avx2 dispatch
 // tiers, the poison-marker path for non-finite deltas, Envelope
 // integration (checksum-before-parse on encoded payloads, bytes-on-wire
 // accounting), end-to-end identity exactness across both round engines
@@ -23,7 +23,6 @@
 #include "fl/state.h"
 #include "kernels/cpu_dispatch.h"
 #include "net/codec.h"
-#include "net/codec_tiles.h"
 #include "net/envelope.h"
 #include "net/network_model.h"
 #include "sim/checkpoint.h"
@@ -298,18 +297,6 @@ TEST(CodecRoundTrip, TopkKeepsTheLargestMagnitudesAndZeroesTheRest) {
 
 // --- tier dispatch ------------------------------------------------------
 
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2 &&
-      net::detail::avx2_codec_compiled()) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
 struct TierGuard {
   kernels::IsaTier entry = kernels::active_tier();
   ~TierGuard() { kernels::set_active_tier(entry); }
@@ -329,7 +316,7 @@ TEST(CodecTiers, EncodedBytesAreBitIdenticalAcrossTiers) {
       kernels::set_active_tier(kernels::IsaTier::scalar);
       const auto ref_bytes = encode_bytes(delta, cfg);
       const auto ref_decoded = decode_bytes(ref_bytes, cfg);
-      for (const auto tier : available_tiers()) {
+      for (const auto tier : kernels::available_tiers()) {
         kernels::set_active_tier(tier);
         SCOPED_TRACE(testing::Message() << net::codec_kind_name(kind) << " n="
                                         << n << " tier="

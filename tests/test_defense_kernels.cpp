@@ -197,17 +197,6 @@ TEST(DefenseKernelProperty, CoordinateOpsBitIdenticalToNaive) {
 
 // --- runtime ISA dispatch: every tier must honor the same contracts ----
 
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
 struct TierGuard {
   kernels::IsaTier entry = kernels::active_tier();
   ~TierGuard() { kernels::set_active_tier(entry); }
@@ -223,7 +212,7 @@ TEST(DefenseKernelDispatch, CoordinateOpsMatchNaiveExactlyOnEveryTier) {
   TierGuard guard;
   const auto& naive_ops = defense_ops_for(DefenseImpl::naive);
   const auto& fast_ops = defense_ops_for(DefenseImpl::fast);
-  for (const auto tier : available_tiers()) {
+  for (const auto tier : kernels::available_tiers()) {
     kernels::set_active_tier(tier);
     for (const auto& [n, d] : kShapes) {
       for (const bool ties : {false, true}) {
@@ -275,7 +264,7 @@ TEST(DefenseKernelDispatch, CoordinateOpsBitIdenticalAcrossTiers) {
     fast_ops.trimmed_mean(m, n > 2 ? 1 : 0, trim0.data(), nullptr);
     fast_ops.rlr_vote(m, 2.0, rlr0.data(), nullptr);
     fast_ops.sign_vote(m, 0.01, sign0.data(), nullptr);
-    for (const auto tier : available_tiers()) {
+    for (const auto tier : kernels::available_tiers()) {
       SCOPED_TRACE(testing::Message()
                    << kernels::isa_tier_name(tier) << " n=" << n << " d=" << d);
       kernels::set_active_tier(tier);
@@ -302,7 +291,7 @@ TEST(DefenseKernelDispatch, PairwiseDistancesWithinToleranceOnEveryTier) {
     const fl::UpdateMatrix m(random_updates(n, d, 4000 + n * 13 + d));
     std::vector<double> ref(n * n);
     naive_ops.pairwise_sq_dists(m, ref.data(), nullptr);
-    for (const auto tier : available_tiers()) {
+    for (const auto tier : kernels::available_tiers()) {
       SCOPED_TRACE(testing::Message()
                    << kernels::isa_tier_name(tier) << " n=" << n << " d=" << d);
       kernels::set_active_tier(tier);

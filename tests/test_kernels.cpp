@@ -23,20 +23,6 @@
 namespace collapois {
 namespace {
 
-// Every ISA tier the build host can execute, scalar first. The property
-// sweeps run once per entry; on a scalar-only host that is still a valid
-// (if smaller) sweep — the CI dispatch matrix covers the rest.
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
 // Restores the entry tier on scope exit so a failing sweep cannot leak a
 // forced tier into later tests.
 struct TierGuard {
@@ -500,26 +486,24 @@ TEST(KernelDispatch, DetectionIsConsistent) {
     EXPECT_TRUE(f.avx2);
     EXPECT_TRUE(f.fma);
   }
-  if (det >= kernels::IsaTier::sse2) {
-    EXPECT_TRUE(f.sse2);
-  }
   // The active tier can never exceed what the CPU supports.
   EXPECT_LE(kernels::active_tier(), det);
   EXPECT_FALSE(kernels::cpu_feature_string().empty());
 }
 
 TEST(KernelDispatch, TierNamesRoundTripAndRejectUnknown) {
-  for (const auto t : {kernels::IsaTier::scalar, kernels::IsaTier::sse2,
-                       kernels::IsaTier::avx2}) {
+  for (const auto t : {kernels::IsaTier::scalar, kernels::IsaTier::avx2}) {
     EXPECT_EQ(kernels::parse_isa_tier(kernels::isa_tier_name(t)), t);
   }
+  // Baseline SSE2 is the scalar tier's compile target, not a tier.
+  EXPECT_THROW(kernels::parse_isa_tier("sse2"), std::invalid_argument);
   EXPECT_THROW(kernels::parse_isa_tier("avx512"), std::invalid_argument);
   EXPECT_THROW(kernels::parse_isa_tier(""), std::invalid_argument);
 }
 
 TEST(KernelDispatch, DispatchInfoMatchesActiveTier) {
   TierGuard guard;
-  for (const auto tier : available_tiers()) {
+  for (const auto tier : kernels::available_tiers()) {
     kernels::set_active_tier(tier);
     const kernels::DispatchInfo d = kernels::dispatch_info();
     EXPECT_EQ(d.tier, tier);
@@ -565,7 +549,7 @@ TEST(KernelDispatch, EveryTierGemmMatchesNaive) {
     naive.gemm_at_b_accum(at.data(), b.data(), want_atb.data(), s.k, s.m, s.n,
                           want_atb_sums.data());
 
-    for (const auto tier : available_tiers()) {
+    for (const auto tier : kernels::available_tiers()) {
       SCOPED_TRACE(testing::Message()
                    << kernels::isa_tier_name(tier) << " m=" << s.m
                    << " k=" << s.k << " n=" << s.n);
@@ -608,7 +592,7 @@ TEST(KernelDispatch, EveryTierConvMatchesNaive) {
     naive.conv2d_backward(s, in.data(), weights.data(), go.data(),
                           want_gw.data(), want_gb.data(), want_gi.data());
 
-    for (const auto tier : available_tiers()) {
+    for (const auto tier : kernels::available_tiers()) {
       SCOPED_TRACE(testing::Message()
                    << kernels::isa_tier_name(tier) << " b=" << s.batch
                    << " cin=" << s.cin << " cout=" << s.cout << " k=" << s.k);
@@ -625,32 +609,6 @@ TEST(KernelDispatch, EveryTierConvMatchesNaive) {
       expect_close(gb, want_gb);
       expect_close(gi, want_gi);
     }
-  }
-}
-
-// scalar and sse2 share mul-then-add rounding and the same blocking, so
-// they are bit-identical — a stronger contract than tolerance, and the
-// one that makes cross-host checkpoint resume exact below the avx2 tier.
-TEST(KernelDispatch, ScalarAndSse2TiersAreBitIdentical) {
-  if (kernels::detected_tier() < kernels::IsaTier::sse2) {
-    GTEST_SKIP() << "no sse2 tier on this host";
-  }
-  TierGuard guard;
-  stats::Rng rng(8282);
-  const auto& blocked = kernels::ops_for(kernels::KernelKind::blocked);
-  for (const auto& s : kGemmShapes) {
-    SCOPED_TRACE(testing::Message()
-                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
-    const auto a = random_vec(rng, s.m * s.k);
-    const auto b = random_vec(rng, s.k * s.n);
-    kernels::set_active_tier(kernels::IsaTier::scalar);
-    std::vector<float> scalar_c(s.m * s.n);
-    blocked.gemm(a.data(), b.data(), scalar_c.data(), s.m, s.k, s.n, nullptr);
-    kernels::set_active_tier(kernels::IsaTier::sse2);
-    std::vector<float> sse2_c(s.m * s.n);
-    blocked.gemm(a.data(), b.data(), sse2_c.data(), s.m, s.k, s.n, nullptr);
-    ASSERT_EQ(0, std::memcmp(scalar_c.data(), sse2_c.data(),
-                             scalar_c.size() * sizeof(float)));
   }
 }
 

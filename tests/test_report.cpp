@@ -83,6 +83,37 @@ ExperimentConfig micro() {
   return cfg;
 }
 
+TEST(Report, RoundsJsonEmitsTrainMsOfEveryRecord) {
+  ExperimentConfig cfg = micro();
+  cfg.attack = AttackKind::collapois;
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_FALSE(r.rounds.empty());
+  std::ostringstream os;
+  write_rounds_json(os, cfg, r.rounds);
+  const std::string s = os.str();
+
+  // One "train_ms" per round, in round order, rendered exactly as the
+  // stream renders the record's value.
+  const std::string key = "\"train_ms\": ";
+  std::size_t pos = 0;
+  double total_ms = 0.0;
+  for (const RoundRecord& rec : r.rounds) {
+    SCOPED_TRACE(testing::Message() << "round " << rec.round);
+    pos = s.find(key, pos);
+    ASSERT_NE(pos, std::string::npos);
+    pos += key.size();
+    const std::size_t end = s.find_first_of(",}", pos);
+    ASSERT_NE(end, std::string::npos);
+    std::ostringstream want;
+    want << rec.train_ms;
+    EXPECT_EQ(s.substr(pos, end - pos), want.str());
+    total_ms += rec.train_ms;
+  }
+  EXPECT_EQ(s.find(key, pos), std::string::npos);
+  // Clients trained, so the field carries a measurement, not a default.
+  EXPECT_GT(total_ms, 0.0);
+}
+
 TEST(Runner, StrikeAfterHorizonMeansNoPoisoning) {
   // Attack start beyond the round budget: compromised clients stay
   // dormant the whole campaign, so no Trojaned model exists and the
