@@ -5,12 +5,14 @@
 //   collapois_cli --dataset femnist --algorithm fedavg --attack collapois \
 //                 --defense dp --alpha 0.1 --fraction 0.05 --rounds 200
 //
-// Every numeric flag is validated at the parse site: probabilities must
-// be finite and in [0, 1], rates/durations finite and non-negative,
-// counts plain unsigned decimals (a "-1" is rejected rather than
-// silently wrapped by std::stoul). A bad value prints the flag table and
-// exits 2. The same table lives in README.md.
-#include <cmath>
+// The CLI only parses: numbers must be whole tokens, counts plain
+// unsigned decimals (a "-1" is rejected rather than silently wrapped by
+// std::stoul). Ranges and cross-field rules are checked by
+// sim::run_experiment before any work starts (DESIGN.md §16); the one
+// rule left here is that --shard-* flags need --shards > 1, because only
+// the parser knows which flags were typed. Any rejected value prints its
+// one-line error and the flag table and exits 2. The same table lives in
+// README.md.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -40,16 +42,10 @@ experiment:
   --seed N           RNG seed                                      [42]
   --threads N        worker threads; 0 = auto, 1 = sequential      [0]
                      (results are bit-identical for any value)
-  --kernels NAME     compute kernels: blocked | naive              [blocked]
-                     (blocked = im2col + packed GEMM; naive =
-                     reference loops — the two round differently)
-  --defense-impl N   defense kernels: fast | naive                 [fast]
-                     (fast = GEMM pairwise distances + SIMD
-                     coordinate tiles; naive = reference loops)
 
-  The blocked/fast hot paths pick a SIMD microkernel at runtime from
-  cpuid (scalar | avx2); the selected tier and detected CPU features
-  appear in the run report's "kernels" block. Set
+  The compute and defense hot paths pick a SIMD microkernel at runtime
+  from cpuid (scalar | avx2); the selected tier and detected CPU
+  features appear in the run report's "kernels" block. Set
   COLLAPOIS_FORCE_ISA=scalar|avx2 to force a LOWER tier (forcing an
   unsupported tier fails at startup). Coordinate defense rules are
   bit-identical across tiers; GEMM results differ at rounding level
@@ -86,8 +82,6 @@ without a wire there is nothing to compress):
                            fp16/int8 = per-tensor quantization;
                            topk = magnitude sparsification with
                            varint-delta indices + fp16 values)
-  --codec-bits N           quantization width for int8; only 8
-                           is supported (rejected loudly otherwise) [8]
   --codec-topk F           kept-coordinate fraction for topk,
                            in (0, 1]                                [0.1]
 
@@ -179,30 +173,6 @@ double parse_double(const std::string& flag, const std::string& raw) {
   }
 }
 
-double parse_prob(const std::string& flag, const std::string& raw) {
-  const double v = parse_double(flag, raw);
-  if (!std::isfinite(v) || v < 0.0 || v > 1.0) {
-    usage(flag + " must be a probability in [0, 1], got '" + raw + "'");
-  }
-  return v;
-}
-
-double parse_nonneg(const std::string& flag, const std::string& raw) {
-  const double v = parse_double(flag, raw);
-  if (!std::isfinite(v) || v < 0.0) {
-    usage(flag + " must be finite and non-negative, got '" + raw + "'");
-  }
-  return v;
-}
-
-double parse_pos(const std::string& flag, const std::string& raw) {
-  const double v = parse_double(flag, raw);
-  if (!std::isfinite(v) || v <= 0.0) {
-    usage(flag + " must be finite and positive, got '" + raw + "'");
-  }
-  return v;
-}
-
 // std::stoul silently wraps "-1" to 18446744073709551615; only plain
 // unsigned decimals pass.
 std::uint64_t parse_count(const std::string& flag, const std::string& raw) {
@@ -244,68 +214,62 @@ int main(int argc, char** argv) {
       } else if (flag == "--defense") {
         cfg.defense = defense::parse_defense(value());
       } else if (flag == "--alpha") {
-        cfg.alpha = parse_pos(flag, value());
+        cfg.alpha = parse_double(flag, value());
       } else if (flag == "--clients") {
         cfg.n_clients = parse_count(flag, value());
       } else if (flag == "--samples") {
         cfg.samples_per_client = parse_count(flag, value());
       } else if (flag == "--fraction") {
-        cfg.compromised_fraction = parse_prob(flag, value());
+        cfg.compromised_fraction = parse_double(flag, value());
       } else if (flag == "--rounds") {
         cfg.rounds = parse_count(flag, value());
       } else if (flag == "--q") {
-        cfg.sample_prob = parse_prob(flag, value());
+        cfg.sample_prob = parse_double(flag, value());
       } else if (flag == "--strike") {
         cfg.attack_start_round = parse_count(flag, value());
       } else if (flag == "--seed") {
         cfg.seed = parse_count(flag, value());
       } else if (flag == "--threads") {
         cfg.threads = parse_count(flag, value());
-      } else if (flag == "--kernels") {
-        cfg.kernels = kernels::parse_kernel_kind(value());
-      } else if (flag == "--defense-impl") {
-        cfg.defense_impl = defense::parse_defense_impl(value());
       } else if (flag == "--dropout") {
-        cfg.faults.dropout_prob = parse_prob(flag, value());
+        cfg.faults.dropout_prob = parse_double(flag, value());
       } else if (flag == "--straggler") {
-        cfg.faults.straggler_prob = parse_prob(flag, value());
+        cfg.faults.straggler_prob = parse_double(flag, value());
       } else if (flag == "--corrupt") {
-        cfg.faults.corrupt_prob = parse_prob(flag, value());
+        cfg.faults.corrupt_prob = parse_double(flag, value());
       } else if (flag == "--norm-ceiling") {
-        cfg.update_norm_ceiling = parse_nonneg(flag, value());
+        cfg.update_norm_ceiling = parse_double(flag, value());
       } else if (flag == "--net") {
         cfg.net.enabled = true;
       } else if (flag == "--net-loss") {
-        cfg.net.loss_prob = parse_prob(flag, value());
+        cfg.net.loss_prob = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-corrupt") {
-        cfg.net.corrupt_prob = parse_prob(flag, value());
+        cfg.net.corrupt_prob = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-duplicate") {
-        cfg.net.duplicate_prob = parse_prob(flag, value());
+        cfg.net.duplicate_prob = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-latency-min") {
-        cfg.net.latency_min_ms = parse_nonneg(flag, value());
+        cfg.net.latency_min_ms = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-latency-max") {
-        cfg.net.latency_max_ms = parse_nonneg(flag, value());
+        cfg.net.latency_max_ms = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-deadline") {
-        cfg.net.deadline_ms = parse_nonneg(flag, value());
+        cfg.net.deadline_ms = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-retries") {
         cfg.net.max_retries = parse_count(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-backoff-base") {
-        cfg.net.backoff_base_ms = parse_nonneg(flag, value());
+        cfg.net.backoff_base_ms = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-backoff-cap") {
-        cfg.net.backoff_cap_ms = parse_nonneg(flag, value());
+        cfg.net.backoff_cap_ms = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-oversample") {
-        const double v = parse_nonneg(flag, value());
-        if (v > 16.0) usage(flag + " must be in [0, 16]");
-        cfg.net.over_sample = v;
+        cfg.net.over_sample = parse_double(flag, value());
         cfg.net.enabled = true;
       } else if (flag == "--net-seed") {
         cfg.net.seed = parse_count(flag, value());
@@ -314,20 +278,8 @@ int main(int argc, char** argv) {
         // parse_codec_kind throws invalid_argument naming the bad codec
         // and the valid set; the catch below turns it into usage().
         cfg.codec.kind = net::parse_codec_kind(value());
-      } else if (flag == "--codec-bits") {
-        const std::uint64_t bits = parse_count(flag, value());
-        if (bits != 8) {
-          usage(flag + ": only 8-bit quantization is supported, got '" +
-                std::to_string(bits) + "'");
-        }
-        cfg.codec.bits = bits;
       } else if (flag == "--codec-topk") {
-        const std::string raw = value();
-        const double v = parse_double(flag, raw);
-        if (!std::isfinite(v) || v <= 0.0 || v > 1.0) {
-          usage(flag + " must be in (0, 1], got '" + raw + "'");
-        }
-        cfg.codec.topk_fraction = v;
+        cfg.codec.topk_fraction = parse_double(flag, value());
       } else if (flag == "--shards") {
         cfg.shards = parse_count(flag, value());
       } else if (flag == "--lazy-clients") {
@@ -342,28 +294,28 @@ int main(int argc, char** argv) {
         cfg.async.k = parse_count(flag, value());
         cfg.round_engine = fl::RoundEngineKind::buffered_async;
       } else if (flag == "--async-t-ms") {
-        cfg.async.t_ms = parse_nonneg(flag, value());
+        cfg.async.t_ms = parse_double(flag, value());
         cfg.round_engine = fl::RoundEngineKind::buffered_async;
       } else if (flag == "--async-max-staleness") {
         cfg.async.max_staleness = parse_count(flag, value());
         cfg.round_engine = fl::RoundEngineKind::buffered_async;
       } else if (flag == "--shard-crash") {
-        cfg.shard_faults.crash_prob = parse_prob(flag, value());
+        cfg.shard_faults.crash_prob = parse_double(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-timeout") {
-        cfg.shard_faults.timeout_prob = parse_prob(flag, value());
+        cfg.shard_faults.timeout_prob = parse_double(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-corrupt") {
-        cfg.shard_faults.corrupt_prob = parse_prob(flag, value());
+        cfg.shard_faults.corrupt_prob = parse_double(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-retries") {
         cfg.shard_faults.max_retries = parse_count(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-backoff-base") {
-        cfg.shard_faults.backoff_base_ms = parse_nonneg(flag, value());
+        cfg.shard_faults.backoff_base_ms = parse_double(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-backoff-cap") {
-        cfg.shard_faults.backoff_cap_ms = parse_nonneg(flag, value());
+        cfg.shard_faults.backoff_cap_ms = parse_double(flag, value());
         shard_fault_flags = true;
       } else if (flag == "--shard-fault-seed") {
         cfg.shard_faults.seed = parse_count(flag, value());
@@ -407,70 +359,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cfg.n_clients == 0) {
-    usage("--clients must be at least 1");
-  }
-  if (cfg.rounds == 0) usage("--rounds must be at least 1");
-  if (cfg.sample_prob <= 0.0) usage("--q must be in (0, 1]");
-  if (net::codec_is_lossy(cfg.codec.kind) && !cfg.net.enabled) {
-    usage("a lossy --codec requires the simulated transport (--net) — "
-          "without a wire there is nothing to compress");
-  }
-  if (cfg.shards == 0) usage("--shards must be at least 1");
-  if (cfg.shards > cfg.n_clients) {
-    usage("--shards must not exceed the registered population "
-          "(--clients)");
-  }
-  {
-    // A shard count beyond the expected round cohort means structurally
-    // empty shards every round — reject it like any other nonsensical
-    // topology instead of silently clamping.
-    const double expected = std::ceil(
-        cfg.sample_prob * static_cast<double>(cfg.n_clients));
-    const std::size_t expected_cohort =
-        expected < 1.0 ? 1 : static_cast<std::size_t>(expected);
-    if (cfg.shards > expected_cohort) {
-      usage("--shards exceeds the expected round cohort "
-            "(ceil(--q * --clients) = " + std::to_string(expected_cohort) +
-            ") — shards would sit empty every round");
-    }
-  }
-  if ((cfg.shards > 1 || cfg.lazy_clients) &&
-      cfg.algorithm == sim::AlgorithmKind::metafed) {
-    usage("--shards/--lazy-clients scale the server's round loop and do "
-          "not apply to --algorithm metafed");
-  }
-  if (cfg.lazy_clients && cfg.eval_max_clients == 0) {
-    usage("--lazy-clients requires --eval-max-clients > 0 — evaluating "
-          "every client would materialize the whole registered population");
-  }
-  if (cfg.net.enabled && cfg.net.latency_min_ms > cfg.net.latency_max_ms) {
-    usage("--net-latency-min must not exceed --net-latency-max");
-  }
+  // A flag-presence rule, so it stays with the parser: the library's
+  // ShardFaultConfig::any() cannot see a typed retry, backoff or seed.
   if (shard_fault_flags && cfg.shards <= 1) {
     usage("--shard-* flags inject faults into the aggregation tree and "
           "require --shards > 1");
-  }
-  if (!opts.checkpoint_save_path.empty() && opts.checkpoint_round == 0 &&
-      opts.checkpoint_every == 0) {
-    usage("--checkpoint also needs --checkpoint-round or --checkpoint-every");
-  }
-  if (opts.checkpoint_every > 0 && opts.checkpoint_save_path.empty()) {
-    usage("--checkpoint-every needs --checkpoint PATH");
-  }
-  if (opts.checkpoint_keep == 0) {
-    usage("--checkpoint-keep must be at least 1");
-  }
-  if (opts.crash_round != sim::kNoCrash) {
-    if (opts.crash_round >= cfg.rounds) {
-      usage("--crash-at round must be below --rounds — the crash would "
-            "never fire");
-    }
-    if (opts.crash_phase != sim::CrashPhase::post_train &&
-        opts.checkpoint_every == 0) {
-      usage("--crash-at phases mid-buffer and mid-save interrupt the "
-            "checkpoint write and need --checkpoint-every");
-    }
   }
   std::cerr << "running " << sim::experiment_tag(cfg) << " ...\n";
   sim::ExperimentResult result;

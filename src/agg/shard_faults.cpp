@@ -46,26 +46,30 @@ bool ShardFaultConfig::any() const {
          !pinned.empty();
 }
 
-ShardFaultModel::ShardFaultModel(ShardFaultConfig config)
-    : config_(std::move(config)) {
+void validate(const ShardFaultConfig& config) {
   auto check_prob = [](double p, const char* name) {
     if (p < 0.0 || p > 1.0 || !std::isfinite(p)) {
-      throw std::invalid_argument(std::string("ShardFaultModel: ") + name +
+      throw std::invalid_argument(std::string("ShardFaultConfig: ") + name +
                                   " must be in [0, 1]");
     }
   };
-  check_prob(config_.crash_prob, "crash_prob");
-  check_prob(config_.timeout_prob, "timeout_prob");
-  check_prob(config_.corrupt_prob, "corrupt_prob");
-  if (config_.crash_prob + config_.timeout_prob + config_.corrupt_prob > 1.0) {
+  check_prob(config.crash_prob, "crash_prob");
+  check_prob(config.timeout_prob, "timeout_prob");
+  check_prob(config.corrupt_prob, "corrupt_prob");
+  if (config.crash_prob + config.timeout_prob + config.corrupt_prob > 1.0) {
     throw std::invalid_argument(
-        "ShardFaultModel: fault probabilities must sum to at most 1");
+        "ShardFaultConfig: fault probabilities must sum to at most 1");
   }
-  if (!std::isfinite(config_.backoff_base_ms) || config_.backoff_base_ms < 0.0 ||
-      !std::isfinite(config_.backoff_cap_ms) || config_.backoff_cap_ms < 0.0) {
+  if (!std::isfinite(config.backoff_base_ms) || config.backoff_base_ms < 0.0 ||
+      !std::isfinite(config.backoff_cap_ms) || config.backoff_cap_ms < 0.0) {
     throw std::invalid_argument(
-        "ShardFaultModel: backoff parameters must be finite and >= 0");
+        "ShardFaultConfig: backoff parameters must be finite and >= 0");
   }
+}
+
+ShardFaultModel::ShardFaultModel(ShardFaultConfig config)
+    : config_(std::move(config)) {
+  validate(config_);
 }
 
 ShardFaultKind ShardFaultModel::decide(std::size_t shard, std::size_t round,

@@ -73,14 +73,18 @@ struct ShardFaultConfig {
   bool any() const;
 };
 
+// Each probability finite in [0, 1] and their sum at most 1, backoffs
+// finite and non-negative; throws std::invalid_argument with a
+// "ShardFaultConfig: ..." message otherwise.
+void validate(const ShardFaultConfig& config);
+
 // Pure fault oracle for the aggregation tree. No mutable state: decide()
 // is a function of (config, shard, round, attempt) only, so the model
 // needs no serialization, no locking, and no ordering discipline — any
 // combiner may consult it from any thread in any order.
 class ShardFaultModel {
  public:
-  // Validates probabilities like fl::FaultModel: each in [0, 1] and
-  // finite, sum at most 1; throws std::invalid_argument otherwise.
+  // Throws std::invalid_argument when validate(config) does.
   explicit ShardFaultModel(ShardFaultConfig config);
 
   const ShardFaultConfig& config() const { return config_; }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "defense/defense_tiles.h"
@@ -358,12 +357,6 @@ const char* defense_impl_name(DefenseImpl impl) {
       return "fast";
   }
   return "unknown";
-}
-
-DefenseImpl parse_defense_impl(const std::string& name) {
-  if (name == "naive") return DefenseImpl::naive;
-  if (name == "fast") return DefenseImpl::fast;
-  throw std::invalid_argument("unknown defense impl: " + name);
 }
 
 void set_active_defense_impl(DefenseImpl impl) {

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "fl/update_matrix.h"
 
@@ -40,7 +39,6 @@ namespace collapois::defense {
 enum class DefenseImpl { naive, fast };
 
 const char* defense_impl_name(DefenseImpl impl);
-DefenseImpl parse_defense_impl(const std::string& name);
 
 // One defense-kernel set. Every op takes the round's UpdateMatrix and an
 // optional pool (nullptr = inline on the calling thread).

@@ -45,21 +45,24 @@ bool FaultConfig::any() const {
          !pinned.empty();
 }
 
-FaultModel::FaultModel(FaultConfig config) : config_(std::move(config)) {
+void validate(const FaultConfig& config) {
   auto check_prob = [](double p, const char* name) {
     if (p < 0.0 || p > 1.0 || !std::isfinite(p)) {
-      throw std::invalid_argument(std::string("FaultModel: ") + name +
+      throw std::invalid_argument(std::string("FaultConfig: ") + name +
                                   " must be in [0, 1]");
     }
   };
-  check_prob(config_.dropout_prob, "dropout_prob");
-  check_prob(config_.straggler_prob, "straggler_prob");
-  check_prob(config_.corrupt_prob, "corrupt_prob");
-  if (config_.dropout_prob + config_.straggler_prob + config_.corrupt_prob >
-      1.0) {
+  check_prob(config.dropout_prob, "dropout_prob");
+  check_prob(config.straggler_prob, "straggler_prob");
+  check_prob(config.corrupt_prob, "corrupt_prob");
+  if (config.dropout_prob + config.straggler_prob + config.corrupt_prob > 1.0) {
     throw std::invalid_argument(
-        "FaultModel: fault probabilities must sum to at most 1");
+        "FaultConfig: fault probabilities must sum to at most 1");
   }
+}
+
+FaultModel::FaultModel(FaultConfig config) : config_(std::move(config)) {
+  validate(config_);
 }
 
 FaultKind FaultModel::decide(std::size_t client_id, std::size_t round) const {

@@ -63,6 +63,10 @@ struct FaultConfig {
   bool any() const;
 };
 
+// Each probability finite in [0, 1] and their sum at most 1; throws
+// std::invalid_argument with a "FaultConfig: ..." message otherwise.
+void validate(const FaultConfig& config);
+
 // Shared fault oracle: decides the fault for each (client, round) cell
 // and keeps the bounded history of broadcast global models that
 // stragglers compute against. One FaultModel is shared by every

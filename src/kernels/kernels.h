@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace collapois::runtime {
 class ThreadPool;
@@ -35,7 +34,6 @@ namespace collapois::kernels {
 enum class KernelKind { naive, blocked };
 
 const char* kernel_kind_name(KernelKind kind);
-KernelKind parse_kernel_kind(const std::string& name);
 
 // Problem geometry for the Conv2d kernels: stride-1 convolution of a
 // [batch, cin, h, w] input with a [cout, cin, k, k] filter bank and

@@ -1,8 +1,8 @@
 // The reference kernel set: the original triple-loop GEMM variants
 // (tensor/linalg.cpp) and the 7-deep direct convolution (nn/layers.cpp
 // before the kernel layer), preserved bit-for-bit. The blocked set is
-// property-tested against these; they also remain selectable via
-// --kernels naive for A/B runs and regression triage.
+// property-tested against these, and tests and benches select them
+// through ExperimentConfig::kernels as the reference.
 #include "kernels/ops_internal.h"
 
 namespace collapois::kernels::detail {

@@ -1,5 +1,4 @@
 #include <atomic>
-#include <stdexcept>
 
 #include "kernels/ops_internal.h"
 
@@ -38,13 +37,6 @@ const char* kernel_kind_name(KernelKind kind) {
     case KernelKind::blocked: return "blocked";
   }
   return "unknown";
-}
-
-KernelKind parse_kernel_kind(const std::string& name) {
-  if (name == "naive") return KernelKind::naive;
-  if (name == "blocked") return KernelKind::blocked;
-  throw std::invalid_argument("parse_kernel_kind: unknown kernel set '" +
-                              name + "'");
 }
 
 void set_active_kernels(KernelKind kind) {

@@ -1,6 +1,6 @@
 // Flat-vector aggregation math behind tensor/vecops.h. These are not
 // kernel-set-dispatched — aggregation numerics are identical under both
-// --kernels modes — but they live in this library so the hot loops
+// kernel sets — but they live in this library so the hot loops
 // compile under the kernels' optimization flags.
 #include "kernels/kernels.h"
 

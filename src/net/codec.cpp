@@ -118,24 +118,9 @@ CodecKind parse_codec_kind(const std::string& name) {
 }
 
 void validate_codec(const CodecConfig& config) {
-  switch (config.kind) {
-    case CodecKind::identity:
-    case CodecKind::fp16:
-      break;
-    case CodecKind::int8:
-      if (config.bits != 8) {
-        throw std::invalid_argument(
-            "CodecConfig: only 8-bit quantization is supported "
-            "(--codec-bits 8)");
-      }
-      break;
-    case CodecKind::topk:
-      if (!std::isfinite(config.topk_fraction) || config.topk_fraction <= 0.0 ||
-          config.topk_fraction > 1.0) {
-        throw std::invalid_argument(
-            "CodecConfig: topk_fraction must be in (0, 1]");
-      }
-      break;
+  if (!std::isfinite(config.topk_fraction) || config.topk_fraction <= 0.0 ||
+      config.topk_fraction > 1.0) {
+    throw std::invalid_argument("CodecConfig: topk_fraction must be in (0, 1]");
   }
 }
 

@@ -49,9 +49,6 @@ enum class CodecKind : std::uint8_t { identity = 0, fp16, int8, topk };
 
 struct CodecConfig {
   CodecKind kind = CodecKind::identity;
-  // Quantization width for int8 (the only supported value; the knob
-  // exists so the CLI can reject 4/16/... loudly instead of silently).
-  std::size_t bits = 8;
   // Kept-coordinate fraction for topk, in (0, 1]; k = max(1,
   // ceil(fraction * n)) per update.
   double topk_fraction = 0.1;
@@ -60,9 +57,9 @@ struct CodecConfig {
 const char* codec_kind_name(CodecKind kind);
 // Throws std::invalid_argument naming the bad name and the valid set.
 CodecKind parse_codec_kind(const std::string& name);
-// Validates the knobs for the configured kind (bits == 8 for int8,
-// topk_fraction finite in (0, 1] for topk). Throws std::invalid_argument
-// with a "CodecConfig: ..." message.
+// Validates the knobs: topk_fraction finite in (0, 1], whatever the
+// kind (a stale out-of-range value is still a malformed config). Throws
+// std::invalid_argument with a "CodecConfig: ..." message.
 void validate_codec(const CodecConfig& config);
 
 bool codec_is_lossy(CodecKind kind);

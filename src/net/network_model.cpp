@@ -88,36 +88,39 @@ const char* delivery_status_name(DeliveryStatus status) {
   return "unknown";
 }
 
-NetworkModel::NetworkModel(NetConfig config) : config_(config) {
+void validate(const NetConfig& config) {
   auto check_prob = [](double p, const char* name) {
     if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-      throw std::invalid_argument(std::string("NetworkModel: ") + name +
+      throw std::invalid_argument(std::string("NetConfig: ") + name +
                                   " must be a probability in [0, 1]");
     }
   };
   auto check_nonneg = [](double v, const char* name) {
     if (!std::isfinite(v) || v < 0.0) {
-      throw std::invalid_argument(std::string("NetworkModel: ") + name +
+      throw std::invalid_argument(std::string("NetConfig: ") + name +
                                   " must be finite and non-negative");
     }
   };
-  check_prob(config_.loss_prob, "loss_prob");
-  check_prob(config_.corrupt_prob, "corrupt_prob");
-  check_prob(config_.duplicate_prob, "duplicate_prob");
-  check_nonneg(config_.latency_min_ms, "latency_min_ms");
-  check_nonneg(config_.latency_max_ms, "latency_max_ms");
-  check_nonneg(config_.deadline_ms, "deadline_ms");
-  check_nonneg(config_.backoff_base_ms, "backoff_base_ms");
-  check_nonneg(config_.backoff_cap_ms, "backoff_cap_ms");
-  if (config_.latency_min_ms > config_.latency_max_ms) {
+  check_prob(config.loss_prob, "loss_prob");
+  check_prob(config.corrupt_prob, "corrupt_prob");
+  check_prob(config.duplicate_prob, "duplicate_prob");
+  check_nonneg(config.latency_min_ms, "latency_min_ms");
+  check_nonneg(config.latency_max_ms, "latency_max_ms");
+  check_nonneg(config.deadline_ms, "deadline_ms");
+  check_nonneg(config.backoff_base_ms, "backoff_base_ms");
+  check_nonneg(config.backoff_cap_ms, "backoff_cap_ms");
+  if (config.latency_min_ms > config.latency_max_ms) {
     throw std::invalid_argument(
-        "NetworkModel: latency_min_ms must not exceed latency_max_ms");
+        "NetConfig: latency_min_ms must not exceed latency_max_ms");
   }
-  if (!std::isfinite(config_.over_sample) || config_.over_sample < 0.0 ||
-      config_.over_sample > 16.0) {
-    throw std::invalid_argument(
-        "NetworkModel: over_sample must be in [0, 16]");
+  if (!std::isfinite(config.over_sample) || config.over_sample < 0.0 ||
+      config.over_sample > 16.0) {
+    throw std::invalid_argument("NetConfig: over_sample must be in [0, 16]");
   }
+}
+
+NetworkModel::NetworkModel(NetConfig config) : config_(config) {
+  validate(config_);
 }
 
 double NetworkModel::backoff_ms(const NetConfig& config,

@@ -80,6 +80,11 @@ struct NetConfig {
   std::uint64_t seed = 0x7e1e40a37ULL;
 };
 
+// Finite probabilities in [0, 1], non-negative latencies/backoffs/deadline
+// with latency_min <= latency_max, over_sample in [0, 16]; throws
+// std::invalid_argument with a "NetConfig: ..." message otherwise.
+void validate(const NetConfig& config);
+
 // Per-round transport counters (also accumulated across rounds as the
 // NetworkModel's checkpointed totals). "sampled == accepted + dropped +
 // rejected" stays an invariant of RoundTelemetry; these counters describe
@@ -137,9 +142,7 @@ struct Delivery {
 
 class NetworkModel {
  public:
-  // Validates the config (finite probabilities in [0, 1], non-negative
-  // latencies/backoffs/deadline with latency_min <= latency_max,
-  // over_sample in [0, 16]).
+  // Throws std::invalid_argument when validate(config) does.
   explicit NetworkModel(NetConfig config);
 
   const NetConfig& config() const { return config_; }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -29,7 +30,10 @@ constexpr std::uint64_t kMagic = 0x434f4c4c41504b54ULL;  // "COLLAPKT"
 // v6: codec_fingerprint (the update-codec config; lossy quantization
 //     noise shapes the trajectory, so cross-codec resume must fail) and
 //     the NetworkModel state grew its bytes-on-wire totals.
-constexpr std::uint64_t kVersion = 6;
+// v7: config_fingerprint covers every trajectory-shaping field (local
+//     SGD, defense parameters, target label, attack and Trojan-training
+//     configs); the int8 codec lost its bits knob.
+constexpr std::uint64_t kVersion = 7;
 // Header: magic, version, payload_size, digest — 4 u64 fields.
 constexpr std::size_t kHeaderBytes = 32;
 
@@ -44,6 +48,26 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
   return mix(h, bits);
 }
 
+// Mixes each value in order: doubles by bit pattern, integers, bools and
+// enums by value.
+template <typename... Ts>
+std::uint64_t mix_all(std::uint64_t h, Ts... vs) {
+  auto one = [&h](auto v) {
+    if constexpr (std::is_floating_point_v<decltype(v)>) {
+      h = mix_double(h, v);
+    } else {
+      h = mix(h, static_cast<std::uint64_t>(v));
+    }
+  };
+  (one(vs), ...);
+  return h;
+}
+
+std::uint64_t mix_sgd(std::uint64_t h, const nn::SgdConfig& s) {
+  return mix_all(h, s.learning_rate, s.batch_size, s.epochs, s.weight_decay,
+                 s.grad_clip);
+}
+
 [[noreturn]] void fail_errno(const std::string& what, const std::string& path) {
   throw std::runtime_error("save_checkpoint_file: " + what + " for " + path +
                            ": " + std::strerror(errno));
@@ -53,24 +77,27 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 
 std::uint64_t config_fingerprint(const ExperimentConfig& c) {
   std::uint64_t h = 0x243f6a8885a308d3ULL;
-  h = mix(h, c.seed);
-  h = mix(h, static_cast<std::uint64_t>(c.dataset));
-  h = mix(h, static_cast<std::uint64_t>(c.algorithm));
-  h = mix(h, static_cast<std::uint64_t>(c.attack));
-  h = mix(h, static_cast<std::uint64_t>(c.defense));
-  h = mix(h, c.n_clients);
-  h = mix(h, c.samples_per_client);
-  h = mix(h, c.attack_start_round);
-  h = mix_double(h, c.alpha);
-  h = mix_double(h, c.compromised_fraction);
-  h = mix_double(h, c.sample_prob);
-  h = mix_double(h, c.server_lr);
-  h = mix_double(h, c.update_norm_ceiling);
-  h = mix(h, c.faults.seed);
-  h = mix_double(h, c.faults.dropout_prob);
-  h = mix_double(h, c.faults.straggler_prob);
-  h = mix_double(h, c.faults.corrupt_prob);
-  h = mix(h, c.faults.straggler_staleness);
+  h = mix_all(h, c.seed, c.dataset, c.algorithm, c.attack, c.defense,
+              c.n_clients, c.samples_per_client, c.attack_start_round,
+              c.alpha, c.compromised_fraction, c.sample_prob, c.server_lr,
+              c.update_norm_ceiling);
+  h = mix_all(h, c.target_label, c.aux_validation_only, c.feddc_penalty,
+              c.metafed_distill_weight);
+  h = mix_sgd(h, c.local_sgd);
+  const defense::DefenseParams& d = c.defense_params;
+  h = mix_all(h, d.clip, d.noise_std, d.noise_multiplier, d.assumed_byzantine,
+              d.multi_k, d.trim_fraction, d.rlr_threshold, d.sign_step,
+              d.flare_temperature, d.crfl_param_clip, d.crfl_noise_std,
+              d.ditto_lambda);
+  h = mix_all(h, c.collapois.psi_a, c.collapois.psi_b, c.collapois.clip,
+              c.collapois.tau, c.collapois.blend_fraction,
+              c.collapois.mimic_benign_norm);
+  h = mix_all(h, c.dpois.target_label, c.dpois.poison_fraction, c.mrepl.boost,
+              c.mrepl.clip, c.dba.target_label, c.dba.poison_fraction,
+              c.trojan_train.target_label, c.trojan_train.poison_fraction);
+  h = mix_sgd(h, c.trojan_train.sgd);
+  h = mix_all(h, c.faults.seed, c.faults.dropout_prob, c.faults.straggler_prob,
+              c.faults.corrupt_prob, c.faults.straggler_staleness);
   // The kernel set is INCLUDED: naive and blocked kernels produce
   // different float rounding, so resuming a checkpoint under the other
   // set would silently splice two numerically different trajectories.
@@ -138,19 +165,9 @@ std::uint64_t scale_fingerprint(const ExperimentConfig& c) {
 std::uint64_t codec_fingerprint(const net::CodecConfig& c) {
   std::uint64_t h = 0x082efa98ec4e6c89ULL;
   h = mix(h, static_cast<std::uint64_t>(c.kind));
-  switch (c.kind) {
-    case net::CodecKind::identity:
-    case net::CodecKind::fp16:
-      // No knobs: every identity config (and every fp16 config) maps to
-      // one fingerprint regardless of stale bits/topk_fraction values.
-      break;
-    case net::CodecKind::int8:
-      h = mix(h, c.bits);
-      break;
-    case net::CodecKind::topk:
-      h = mix_double(h, c.topk_fraction);
-      break;
-  }
+  // Only topk has a knob: every identity/fp16/int8 config maps to one
+  // fingerprint per kind regardless of a stale topk_fraction.
+  if (c.kind == net::CodecKind::topk) h = mix_double(h, c.topk_fraction);
   // The dispatch TIER is deliberately excluded, mirroring the kernel-set
   // rationale above but stronger: the codec tiers are bit-identical, so
   // a checkpoint written on an AVX2 host resumes exactly anywhere.

@@ -50,7 +50,7 @@ struct Checkpoint {
   std::uint64_t scale_fingerprint = 0;
   // Fingerprint of the update-codec config (codec_fingerprint below).
   // Separate so a resume under a different codec fails naming
-  // --codec/--codec-bits/--codec-topk: a lossy codec's quantization
+  // --codec/--codec-topk: a lossy codec's quantization
   // noise is part of the trajectory, so splicing codecs would silently
   // change the experiment mid-run.
   std::uint64_t codec_fingerprint = 0;
@@ -92,8 +92,8 @@ std::uint64_t engine_fingerprint(const ExperimentConfig& config);
 // the same fingerprint.
 std::uint64_t scale_fingerprint(const ExperimentConfig& config);
 
-// Hash of the update-codec config: the kind plus the knobs that matter
-// for it (bits for int8, fraction for topk). Every identity config maps
+// Hash of the update-codec config: the kind plus the knob that matters
+// for it (the fraction for topk). Every identity config maps
 // to the same fingerprint. The SIMD dispatch tier is excluded — codec
 // tiers are bit-identical, so checkpoints are tier-portable.
 std::uint64_t codec_fingerprint(const net::CodecConfig& config);

@@ -73,7 +73,9 @@ struct ExperimentConfig {
   double feddc_penalty = 0.1;
   double metafed_distill_weight = 0.5;
 
-  // Attack parameters.
+  // Attack parameters. The evaluation reads target_label and the attacks
+  // read trojan_train/dpois/dba.target_label; run_experiment refuses a
+  // config where the copies differ.
   int target_label = 0;
   // Round at which the attacker strikes. The X-based attacks (CollaPois,
   // MRepl) wait through `attack_start_round` warmup rounds, then train the
@@ -157,19 +159,20 @@ struct ExperimentConfig {
   std::size_t threads = 0;
 
   // Compute-kernel set for the tensor math (src/kernels/): `blocked`
-  // (im2col + packed GEMM, the default) or `naive` (reference loops).
-  // The two sets differ in float rounding, so — unlike `threads` — the
-  // kernel kind IS part of the checkpoint fingerprint; a checkpoint
-  // written under one set cannot resume under the other.
+  // (im2col + packed GEMM, the default) or `naive` (reference loops that
+  // tests and benches compare against; no CLI flag selects it). The two
+  // sets differ in float rounding, so — unlike `threads` — the kernel
+  // kind IS part of the checkpoint fingerprint; a checkpoint written
+  // under one set cannot resume under the other.
   kernels::KernelKind kernels = kernels::KernelKind::blocked;
 
   // Defense-kernel set for the robust-aggregation hot loops
   // (src/defense/defense_kernels.h): `fast` (GEMM-based pairwise
   // distances + tiled coordinate rules, the default) or `naive` (the
-  // sequential reference loops). The coordinate-wise rules are
-  // bit-identical across sets, but the distance-based ones (Krum, FLARE)
-  // round differently, so the impl is part of the checkpoint fingerprint
-  // like `kernels`.
+  // sequential reference loops, a test oracle like the naive kernels).
+  // The coordinate-wise rules are bit-identical across sets, but the
+  // distance-based ones (Krum, FLARE) round differently, so the impl is
+  // part of the checkpoint fingerprint like `kernels`.
   defense::DefenseImpl defense_impl = defense::DefenseImpl::fast;
 
   std::uint64_t seed = 42;

@@ -1,6 +1,7 @@
 #include "sim/runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -133,54 +134,96 @@ bool attack_needs_x(AttackKind kind) {
   return kind == AttackKind::collapois || kind == AttackKind::mrepl;
 }
 
+// Every rule that depends only on the config (and the run options), so
+// library callers, benches and the CLI are refused alike before any work
+// starts. Sub-config ranges are owned by their modules; rules that need
+// runtime state (checkpoint fingerprints, the resume point, a defense's
+// sharding capability, MetaFed's defense switch) stay at their use sites.
+void validate(const ExperimentConfig& cfg, const RunOptions& options) {
+  auto require = [](bool ok, const std::string& rule) {
+    if (!ok) throw std::invalid_argument("run_experiment: " + rule);
+  };
+  require(cfg.n_clients >= 1, "n_clients (--clients) must be at least 1");
+  require(cfg.rounds >= 1, "rounds (--rounds) must be at least 1");
+  require(cfg.sample_prob > 0.0 && cfg.sample_prob <= 1.0,
+          "sample_prob (--q) must be in (0, 1]");
+  require(std::isfinite(cfg.alpha) && cfg.alpha > 0.0,
+          "alpha (--alpha) must be finite and positive");
+  require(cfg.compromised_fraction >= 0.0 && cfg.compromised_fraction <= 1.0,
+          "compromised_fraction (--fraction) must be in [0, 1]");
+  require(std::isfinite(cfg.update_norm_ceiling) &&
+              cfg.update_norm_ceiling >= 0.0,
+          "update_norm_ceiling (--norm-ceiling) must be finite and "
+          "non-negative");
+  // The evaluation reads cfg.target_label, the attacks read their own
+  // copies; a disagreement would measure a backdoor nobody planted.
+  require(cfg.trojan_train.target_label == cfg.target_label &&
+              cfg.dpois.target_label == cfg.target_label &&
+              cfg.dba.target_label == cfg.target_label,
+          "target_label must match trojan_train, dpois and dba.target_label");
+  fl::validate(cfg.faults);
+  agg::validate(cfg.shard_faults);
+  if (cfg.net.enabled) net::validate(cfg.net);
+  net::validate_codec(cfg.codec);
+  require(!net::codec_is_lossy(cfg.codec.kind) || cfg.net.enabled,
+          "a lossy --codec requires the simulated transport (--net) — "
+          "without a wire there is nothing to compress");
+
+  // --- topology ------------------------------------------------------------
+  // ceil(q * N) is at most N, so this also keeps every shard inside the
+  // registered population.
+  const auto expected_cohort = static_cast<std::size_t>(
+      std::ceil(cfg.sample_prob * static_cast<double>(cfg.n_clients)));
+  require(cfg.shards >= 1, "shards (--shards) must be at least 1");
+  require(cfg.shards <= expected_cohort,
+          "shards (--shards) exceeds the expected round cohort ceil(q * "
+          "n_clients) = " + std::to_string(expected_cohort) +
+              " — shards would sit empty every round");
+  require(!cfg.shard_faults.any() || cfg.shards > 1,
+          "shard faults need an aggregation tree to fault — --shard-* "
+          "flags require --shards > 1");
+  require(!cfg.lazy_clients || cfg.eval_max_clients > 0,
+          "--lazy-clients requires --eval-max-clients > 0 — evaluating "
+          "every client would materialize the whole registered population");
+  require(cfg.algorithm != AlgorithmKind::metafed ||
+              (cfg.shards == 1 && !cfg.lazy_clients && !cfg.faults.any() &&
+               !cfg.net.enabled &&
+               cfg.round_engine == fl::RoundEngineKind::sync),
+          "MetaFed has no server round loop or update channel: sharding, "
+          "lazy clients, fault injection, the simulated transport and the "
+          "round engine do not apply to it");
+  require(cfg.defense != defense::DefenseKind::ditto ||
+              cfg.algorithm == AlgorithmKind::fedavg,
+          "Ditto is a client-side personalization defense and composes "
+          "only with FedAvg");
+
+  // --- checkpoints and chaos -----------------------------------------------
+  const bool has_save_path = !options.checkpoint_save_path.empty();
+  require(!has_save_path || options.checkpoint_round > 0 ||
+              options.checkpoint_every > 0,
+          "checkpoint_save_path (--checkpoint) also needs checkpoint_round "
+          "or checkpoint_every");
+  require(options.checkpoint_every == 0 || has_save_path,
+          "checkpoint_every (--checkpoint-every) needs checkpoint_save_path "
+          "(--checkpoint)");
+  require(options.checkpoint_keep >= 1,
+          "checkpoint_keep (--checkpoint-keep) must be at least 1");
+  if (options.crash_round != kNoCrash) {
+    require(options.crash_round < cfg.rounds,
+            "crash_round (--crash-at) is past the round budget — the crash "
+            "would never fire");
+    require(options.crash_phase == CrashPhase::post_train ||
+                options.checkpoint_every > 0,
+            "crash phases mid-buffer and mid-save interrupt the checkpoint "
+            "write and need periodic checkpointing (--checkpoint-every)");
+  }
+}
+
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 const RunOptions& options) {
-  if (cfg.rounds == 0) throw std::invalid_argument("run_experiment: 0 rounds");
-
-  // --- scale-out validation ----------------------------------------------
-  if (cfg.shards == 0) {
-    throw std::invalid_argument("run_experiment: --shards must be >= 1");
-  }
-  if (cfg.shards > cfg.n_clients) {
-    throw std::invalid_argument(
-        "run_experiment: --shards exceeds the registered population — a "
-        "shard without any possible member is a configuration error");
-  }
-  if ((cfg.shards > 1 || cfg.lazy_clients) &&
-      cfg.algorithm == AlgorithmKind::metafed) {
-    throw std::invalid_argument(
-        "run_experiment: the sharded aggregation tree and lazy populations "
-        "scale the server's round loop and do not apply to MetaFed");
-  }
-  if (cfg.lazy_clients && cfg.eval_max_clients == 0) {
-    throw std::invalid_argument(
-        "run_experiment: --lazy-clients requires --eval-max-clients > 0 — "
-        "evaluating every client would materialize the whole registered "
-        "population and defeat lazy instantiation");
-  }
-  if (cfg.shard_faults.any() && cfg.shards <= 1) {
-    throw std::invalid_argument(
-        "run_experiment: shard faults need an aggregation tree to fault — "
-        "--shard-* flags require --shards > 1");
-  }
-
-  // --- chaos / durability validation -------------------------------------
-  const bool periodic_saves =
-      !options.checkpoint_save_path.empty() && options.checkpoint_every > 0;
-  if (options.crash_round != kNoCrash && options.crash_round >= cfg.rounds) {
-    throw std::invalid_argument(
-        "run_experiment: crash_round is past the round budget — the crash "
-        "would never fire");
-  }
-  if (options.crash_round != kNoCrash &&
-      options.crash_phase != CrashPhase::post_train && !periodic_saves) {
-    throw std::invalid_argument(
-        "run_experiment: crash phases mid-buffer and mid-save interrupt the "
-        "checkpoint write and need periodic checkpointing "
-        "(checkpoint_save_path + checkpoint_every) to be configured");
-  }
+  validate(cfg, options);
 
   // Select the compute-kernel set before any client math runs (and before
   // the pool spawns — workers only ever read the registry).
@@ -242,11 +285,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // below and the lazy factory) can wrap clients in the fault decorator.
   std::shared_ptr<fl::FaultModel> fault_model;
   if (cfg.faults.any()) {
-    if (cfg.algorithm == AlgorithmKind::metafed) {
-      throw std::invalid_argument(
-          "run_experiment: fault injection targets the server's update "
-          "channel and does not apply to MetaFed");
-    }
     fault_model = std::make_shared<fl::FaultModel>(cfg.faults);
     if (cfg.round_engine == fl::RoundEngineKind::buffered_async) {
       // Overlapping cohorts observe out of round order and buffered
@@ -269,12 +307,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     mrepl_boost =
         std::max(1.0, cfg.sample_prob * static_cast<double>(n)) /
         cfg.server_lr;
-  }
-  if (cfg.defense == defense::DefenseKind::ditto &&
-      cfg.algorithm != AlgorithmKind::fedavg) {
-    throw std::invalid_argument(
-        "run_experiment: Ditto is a client-side personalization defense "
-        "and composes only with FedAvg");
   }
   auto make_benign = [&](std::size_t i, stats::Rng crng)
       -> std::unique_ptr<fl::Client> {
@@ -389,29 +421,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   // --- simulated transport ------------------------------------------------
   std::unique_ptr<net::NetworkModel> net_model;
-  if (cfg.net.enabled) {
-    if (cfg.algorithm == AlgorithmKind::metafed) {
-      throw std::invalid_argument(
-          "run_experiment: the simulated transport models the server's "
-          "update channel and does not apply to MetaFed");
-    }
-    net_model = std::make_unique<net::NetworkModel>(cfg.net);
-  }
-  net::validate_codec(cfg.codec);
-  if (net::codec_is_lossy(cfg.codec.kind) && !cfg.net.enabled) {
-    throw std::invalid_argument(
-        "run_experiment: a lossy --codec requires the simulated transport "
-        "(--net) — without a wire there is nothing to compress");
-  }
+  if (cfg.net.enabled) net_model = std::make_unique<net::NetworkModel>(cfg.net);
 
   // --- federated algorithm ----------------------------------------------
   std::unique_ptr<fl::FlAlgorithm> algo;
   if (cfg.algorithm == AlgorithmKind::metafed) {
-    if (cfg.round_engine != fl::RoundEngineKind::sync) {
-      throw std::invalid_argument(
-          "run_experiment: the round engine schedules the server's round "
-          "loop and does not apply to MetaFed");
-    }
     fl::MetaFedConfig mcfg;
     mcfg.sample_prob = cfg.sample_prob;
     switch (cfg.defense) {
@@ -529,8 +543,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     // recovery is recorded in the result. keep_last bounds how far back
     // the walk goes.
     const CheckpointStore load_store(options.checkpoint_load_path,
-                                     std::max<std::size_t>(
-                                         options.checkpoint_keep, 1));
+                                     options.checkpoint_keep);
     CheckpointStore::Recovery recovery = load_store.load_newest();
     const Checkpoint ck = std::move(recovery.checkpoint);
     result.recovered_from = recovery.path;
@@ -569,8 +582,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     if (ck.codec_fingerprint != codec_fingerprint(cfg.codec)) {
       throw std::invalid_argument(
           "run_experiment: checkpoint was saved under a different update "
-          "codec — the codec kind (--codec) or one of its knobs "
-          "(--codec-bits/--codec-topk) changed since the checkpoint; a "
+          "codec — the codec kind (--codec) or its knob (--codec-topk) "
+          "changed since the checkpoint; a "
           "lossy codec's quantization noise is part of the trajectory, so "
           "resume with the exact codec configuration the checkpoint was "
           "taken under");
@@ -619,9 +632,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // halt save below, so both paths share rotation and atomicity).
   std::unique_ptr<CheckpointStore> store;
   if (!options.checkpoint_save_path.empty()) {
-    store = std::make_unique<CheckpointStore>(
-        options.checkpoint_save_path,
-        std::max<std::size_t>(options.checkpoint_keep, 1));
+    store = std::make_unique<CheckpointStore>(options.checkpoint_save_path,
+                                              options.checkpoint_keep);
   }
   // Every piece of mutable round-loop state, frozen as of
   // `rounds_completed`. Shared by the periodic saves, the chaos
@@ -706,8 +718,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     if (crash_here && options.crash_phase == CrashPhase::post_train) {
       throw CrashInjected(t, CrashPhase::post_train);
     }
-    const bool periodic_due =
-        periodic_saves && (t + 1) % options.checkpoint_every == 0;
+    const bool periodic_due = options.checkpoint_every > 0 &&
+                              (t + 1) % options.checkpoint_every == 0;
     if (periodic_due || crash_here) {
       const Checkpoint ck = make_checkpoint(t + 1);
       if (crash_here && options.crash_phase == CrashPhase::mid_save) {

@@ -143,6 +143,9 @@ struct RunOptions {
   CrashPhase crash_phase = CrashPhase::post_train;
 };
 
+// Validates `config` and `options` first: a config that breaks a rule
+// throws std::invalid_argument naming it before any data is built
+// (DESIGN.md §16 says where each kind of rule lives).
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunOptions& options = {});
 

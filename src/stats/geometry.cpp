@@ -116,7 +116,7 @@ void pairwise_sq_distances_gram(const float* rows, std::size_t n,
   // The Gram product always runs on the blocked kernel set: this helper
   // IS the fast path (the registry's naive defense set routes to the
   // scalar loops above), so it must not degrade when an experiment
-  // selects --kernels naive for the NN substrate.
+  // selects KernelKind::naive for the NN substrate.
   const kernels::KernelOps& ops =
       kernels::ops_for(kernels::KernelKind::blocked);
   runtime::parallel_for(pool, pairs.size(), [&](std::size_t t) {

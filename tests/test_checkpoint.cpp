@@ -103,6 +103,58 @@ TEST(ConfigFingerprint, SeparatesRunsButNotRoundBudgets) {
   b = a;
   b.faults.dropout_prob = 0.2;
   EXPECT_NE(sim::config_fingerprint(a), sim::config_fingerprint(b));
+
+  // Every other field that shapes the trajectory separates runs too.
+  using Change = void (*)(sim::ExperimentConfig&);
+#define CHANGE(expr) {#expr, [](sim::ExperimentConfig& c) { expr; }}
+  const std::pair<const char*, Change> changes[] = {
+      CHANGE(c.local_sgd.learning_rate *= 10),
+      CHANGE(c.local_sgd.batch_size += 1),
+      CHANGE(c.local_sgd.epochs += 1),
+      CHANGE(c.local_sgd.weight_decay = 0.01),
+      CHANGE(c.local_sgd.grad_clip = 1.0),
+      CHANGE(c.defense_params.clip *= 2),
+      CHANGE(c.defense_params.noise_std *= 2),
+      CHANGE(c.defense_params.noise_multiplier *= 2),
+      CHANGE(c.defense_params.assumed_byzantine += 1),
+      CHANGE(c.defense_params.multi_k += 1),
+      CHANGE(c.defense_params.trim_fraction = 0.1),
+      CHANGE(c.defense_params.rlr_threshold += 1),
+      CHANGE(c.defense_params.sign_step *= 2),
+      CHANGE(c.defense_params.flare_temperature *= 2),
+      CHANGE(c.defense_params.crfl_param_clip *= 2),
+      CHANGE(c.defense_params.crfl_noise_std *= 2),
+      CHANGE(c.defense_params.ditto_lambda *= 2),
+      CHANGE(c.target_label = 3),
+      CHANGE(c.aux_validation_only = true),
+      CHANGE(c.feddc_penalty *= 2),
+      CHANGE(c.metafed_distill_weight *= 2),
+      CHANGE(c.collapois.psi_a = 0.8),
+      CHANGE(c.collapois.psi_b = 0.95),
+      CHANGE(c.collapois.clip = 1.0),
+      CHANGE(c.collapois.tau = 0.5),
+      CHANGE(c.collapois.blend_fraction = 0.3),
+      CHANGE(c.collapois.mimic_benign_norm = true),
+      CHANGE(c.dpois.target_label = 3),
+      CHANGE(c.dpois.poison_fraction = 0.3),
+      CHANGE(c.mrepl.boost = 5.0),
+      CHANGE(c.mrepl.clip = 1.0),
+      CHANGE(c.dba.target_label = 3),
+      CHANGE(c.dba.poison_fraction = 0.3),
+      CHANGE(c.trojan_train.target_label = 3),
+      CHANGE(c.trojan_train.poison_fraction = 0.5),
+      CHANGE(c.trojan_train.sgd.learning_rate *= 10),
+      CHANGE(c.trojan_train.sgd.batch_size += 1),
+      CHANGE(c.trojan_train.sgd.epochs += 1),
+      CHANGE(c.trojan_train.sgd.weight_decay = 0.01),
+      CHANGE(c.trojan_train.sgd.grad_clip = 1.0),
+  };
+#undef CHANGE
+  for (const auto& [field, change] : changes) {
+    b = a;
+    change(b);
+    EXPECT_NE(sim::config_fingerprint(a), sim::config_fingerprint(b)) << field;
+  }
 }
 
 TEST(ConfigFingerprint, SeparatesKernelSets) {
@@ -297,6 +349,44 @@ TEST(CheckpointResume, RejectsMismatchedConfig) {
   sim::ExperimentConfig other = cfg;
   other.seed += 1;
   EXPECT_THROW(sim::run_experiment(other, load), std::invalid_argument);
+}
+
+// A checkpoint taken at round 3 must not resume under a 10x local
+// learning rate, nor under another target label (moved on every copy, so
+// the config itself stays valid): both change the trajectory.
+TEST(CheckpointResume, RejectsChangedLearningRateOrTargetLabel) {
+  sim::ExperimentConfig cfg = small_config();
+  cfg.attack = sim::AttackKind::collapois;
+  cfg.compromised_fraction = 0.2;
+  cfg.attack_start_round = 2;
+  const TempFile file("ckpt_trajectory_fields.bin");
+  sim::RunOptions save;
+  save.checkpoint_save_path = file.path();
+  save.checkpoint_round = 3;
+  (void)sim::run_experiment(cfg, save);
+
+  sim::RunOptions load;
+  load.checkpoint_load_path = file.path();
+  auto expect_refused = [&](const sim::ExperimentConfig& changed) {
+    try {
+      (void)sim::run_experiment(changed, load);
+      ADD_FAILURE() << "resume accepted a changed configuration";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("different experiment configuration"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  sim::ExperimentConfig faster = cfg;
+  faster.local_sgd.learning_rate *= 10;
+  expect_refused(faster);
+
+  sim::ExperimentConfig relabeled = cfg;
+  relabeled.target_label = relabeled.trojan_train.target_label =
+      relabeled.dpois.target_label = relabeled.dba.target_label = 1;
+  expect_refused(relabeled);
+
+  EXPECT_NO_THROW(sim::run_experiment(cfg, load));
 }
 
 // --- server sampling edge cases -----------------------------------------

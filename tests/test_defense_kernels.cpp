@@ -86,10 +86,7 @@ void expect_pairwise_close(const fl::UpdateMatrix& m,
   }
 }
 
-TEST(DefenseKernelRegistry, NamesParseAndRoundTrip) {
-  EXPECT_EQ(parse_defense_impl("fast"), DefenseImpl::fast);
-  EXPECT_EQ(parse_defense_impl("naive"), DefenseImpl::naive);
-  EXPECT_THROW(parse_defense_impl("turbo"), std::invalid_argument);
+TEST(DefenseKernelRegistry, NamesAndOpTables) {
   EXPECT_STREQ(defense_impl_name(DefenseImpl::fast), "fast");
   EXPECT_STREQ(defense_impl_name(DefenseImpl::naive), "naive");
   EXPECT_STREQ(defense_ops_for(DefenseImpl::fast).name, "fast");

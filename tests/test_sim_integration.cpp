@@ -4,8 +4,11 @@
 // takes hold without defense; reports are well-formed).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/report.h"
 #include "sim/runner.h"
@@ -229,6 +232,74 @@ TEST(SimIntegration, ReportRendering) {
   const std::string tag = experiment_tag(cfg);
   EXPECT_NE(tag.find("sentiment"), std::string::npos);
   EXPECT_NE(tag.find("collapois"), std::string::npos);
+}
+
+// One case per config rule that only the command line used to enforce:
+// run_experiment must refuse each before any work starts, naming the rule.
+TEST(RunnerValidation, RejectsEveryConfigRule) {
+  using Break = void (*)(ExperimentConfig&, RunOptions&);
+  const std::pair<const char*, Break> cases[] = {
+      {"n_clients (--clients) must be at least 1",
+       [](ExperimentConfig& c, RunOptions&) { c.n_clients = 0; }},
+      {"sample_prob (--q) must be in (0, 1]",
+       [](ExperimentConfig& c, RunOptions&) { c.sample_prob = 0.0; }},
+      {"sample_prob (--q) must be in (0, 1]",
+       [](ExperimentConfig& c, RunOptions&) { c.sample_prob = 1.5; }},
+      {"alpha (--alpha) must be finite and positive",
+       [](ExperimentConfig& c, RunOptions&) { c.alpha = 0.0; }},
+      {"alpha (--alpha) must be finite and positive",
+       [](ExperimentConfig& c, RunOptions&) {
+         c.alpha = std::numeric_limits<double>::infinity();
+       }},
+      {"compromised_fraction (--fraction) must be in [0, 1]",
+       [](ExperimentConfig& c, RunOptions&) { c.compromised_fraction = 1.5; }},
+      {"update_norm_ceiling (--norm-ceiling) must be finite",
+       [](ExperimentConfig& c, RunOptions&) { c.update_norm_ceiling = -1.0; }},
+      {"update_norm_ceiling (--norm-ceiling) must be finite",
+       [](ExperimentConfig& c, RunOptions&) {
+         c.update_norm_ceiling = std::numeric_limits<double>::quiet_NaN();
+       }},
+      // ceil(0.4 * 12) = 5 expected cohort members, so 6 shards.
+      {"exceeds the expected round cohort",
+       [](ExperimentConfig& c, RunOptions&) { c.shards = 6; }},
+      {"checkpoint_save_path (--checkpoint) also needs checkpoint_round",
+       [](ExperimentConfig&, RunOptions& o) {
+         o.checkpoint_save_path = ::testing::TempDir() + "never_written.ckpt";
+       }},
+      {"checkpoint_every (--checkpoint-every) needs checkpoint_save_path",
+       [](ExperimentConfig&, RunOptions& o) { o.checkpoint_every = 2; }},
+      {"checkpoint_keep (--checkpoint-keep) must be at least 1",
+       [](ExperimentConfig&, RunOptions& o) { o.checkpoint_keep = 0; }},
+      {"target_label must match",
+       [](ExperimentConfig& c, RunOptions&) { c.trojan_train.target_label = 1; }},
+      {"target_label must match",
+       [](ExperimentConfig& c, RunOptions&) { c.dpois.target_label = 1; }},
+      {"target_label must match",
+       [](ExperimentConfig& c, RunOptions&) { c.dba.target_label = 1; }},
+  };
+  for (const auto& [rule, breaks] : cases) {
+    ExperimentConfig cfg = tiny_config();
+    cfg.rounds = 2;
+    RunOptions options;
+    breaks(cfg, options);
+    try {
+      (void)run_experiment(cfg, options);
+      ADD_FAILURE() << "accepted a config that breaks: " << rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+          << "expected '" << rule << "', got '" << e.what() << "'";
+    }
+  }
+}
+
+// Moving every copy of the target label together is a legal config.
+TEST(RunnerValidation, AcceptsAgreeingTargetLabels) {
+  ExperimentConfig cfg = tiny_config();
+  cfg.rounds = 2;
+  cfg.attack_start_round = 0;
+  cfg.target_label = cfg.trojan_train.target_label = cfg.dpois.target_label =
+      cfg.dba.target_label = 1;
+  EXPECT_NO_THROW((void)run_experiment(cfg));
 }
 
 }  // namespace
