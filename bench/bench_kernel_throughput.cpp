@@ -182,10 +182,10 @@ void one_pass(const ZooShape& z, const kernels::KernelOps& ops,
               ShapeBuffers& b) {
   if (z.is_conv) {
     ops.conv2d_forward(z.conv, b.in.data(), b.weights.data(), b.bias.data(),
-                       b.out.data());
+                       b.out.data(), {});
     std::fill(b.gi.begin(), b.gi.end(), 0.0f);
     ops.conv2d_backward(z.conv, b.in.data(), b.weights.data(), b.go.data(),
-                        b.gw.data(), b.gb.data(), b.gi.data());
+                        b.gw.data(), b.gb.data(), b.gi.data(), {});
   } else {
     std::fill(b.out.begin(), b.out.end(), 0.0f);
     ops.gemm_a_bt_accum(b.in.data(), b.weights.data(), b.out.data(), z.m, z.k,

@@ -348,17 +348,21 @@ void SyncRoundEngine::load_state(StateReader& /*r*/) {}
 // BufferedAsyncRoundEngine
 // ---------------------------------------------------------------------------
 
+void validate(const AsyncConfig& config) {
+  if (!std::isfinite(config.t_ms) || config.t_ms < 0.0) {
+    throw std::invalid_argument(
+        "AsyncConfig: t_ms (--async-t-ms) must be finite and non-negative");
+  }
+  if (config.k == 0 && config.t_ms <= 0.0) {
+    throw std::invalid_argument(
+        "AsyncConfig: at least one aggregation trigger (--async-k > 0 or "
+        "--async-t-ms > 0) must be active");
+  }
+}
+
 BufferedAsyncRoundEngine::BufferedAsyncRoundEngine(AsyncConfig async)
     : async_(async) {
-  if (!std::isfinite(async_.t_ms) || async_.t_ms < 0.0) {
-    throw std::invalid_argument(
-        "BufferedAsyncRoundEngine: t_ms must be finite and non-negative");
-  }
-  if (async_.k == 0 && async_.t_ms <= 0.0) {
-    throw std::invalid_argument(
-        "BufferedAsyncRoundEngine: at least one aggregation trigger "
-        "(k > 0 or t_ms > 0) must be active");
-  }
+  validate(async_);
 }
 
 const net::NetworkModel* BufferedAsyncRoundEngine::relaxed_net(

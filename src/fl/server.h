@@ -51,6 +51,12 @@ struct AsyncConfig {
   std::size_t max_staleness = 8;
 };
 
+// t_ms finite and non-negative, and at least one trigger (k > 0 or
+// t_ms > 0) active; throws std::invalid_argument with an
+// "AsyncConfig: ..." message otherwise. The engine checks it on
+// construction, sim::run_experiment before any work starts.
+void validate(const AsyncConfig& config);
+
 struct ServerConfig {
   // Server learning rate lambda applied to the aggregated pseudo-gradient.
   double learning_rate = 1.0;

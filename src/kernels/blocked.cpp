@@ -264,14 +264,22 @@ void gemm_at_b_overwrite(const float* a, const float* b, float* c,
 // a pure function of the shape, and each batch image packs a disjoint
 // column range, so the kernel_pool() fan-out (nullptr = inline) leaves
 // results bit-identical for any thread count.
+//
+// A tagged forward lowers into the calling thread's ColumnCache, and the
+// backward of the same tag reads the matrix back instead of lowering the
+// same input again. The matrix is a pure function of (shape, input), so
+// a hit and a miss feed the GEMMs identical bytes. Buffers are resolved
+// here, on the calling thread, before any fan-out.
 void blocked_conv2d_forward(const Conv2dShape& s, const float* in,
                             const float* weights, const float* bias,
-                            float* out) {
+                            float* out, ConvTag tag) {
   const std::size_t kdim = s.cin * s.k * s.k;
   const std::size_t ohow = s.oh * s.ow;
   const std::size_t n_all = s.batch * ohow;
   Workspace& ws = Workspace::tls();
-  float* col = ws.floats(Workspace::kIm2col, kdim * n_all).data();
+  float* col = tag.layer != 0
+                   ? ws.columns().publish(tag, s, kdim * n_all)
+                   : ws.floats(Workspace::kIm2col, kdim * n_all).data();
   float* out_all = ws.floats(Workspace::kConvIo, s.cout * n_all).data();
   const TierOps& ops = tier_ops();
   runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
@@ -289,21 +297,28 @@ void blocked_conv2d_forward(const Conv2dShape& s, const float* in,
 
 void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
                              const float* weights, const float* go, float* gw,
-                             float* gb, float* gi) {
+                             float* gb, float* gi, ConvTag tag) {
   const std::size_t kdim = s.cin * s.k * s.k;
   const std::size_t ohow = s.oh * s.ow;
   const std::size_t n_all = s.batch * ohow;
   Workspace& ws = Workspace::tls();
-  float* col = ws.floats(Workspace::kIm2col, kdim * n_all).data();
+  const float* col = ws.columns().find(tag, s);
+  // On a miss, lower into scratch exactly as an uncached backward would.
+  float* lowered = col == nullptr
+                       ? ws.floats(Workspace::kIm2col, kdim * n_all).data()
+                       : nullptr;
   float* go_all = ws.floats(Workspace::kConvIo, s.cout * n_all).data();
   const TierOps& ops = tier_ops();
   runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
-    ops.im2col(s, in + b * s.cin * s.h * s.w, col + b * ohow, n_all);
+    if (lowered != nullptr) {
+      ops.im2col(s, in + b * s.cin * s.h * s.w, lowered + b * ohow, n_all);
+    }
     for (std::size_t c = 0; c < s.cout; ++c) {
       std::memcpy(go_all + c * n_all + b * ohow, go + (b * s.cout + c) * ohow,
                   ohow * sizeof(float));
     }
   });
+  if (col == nullptr) col = lowered;
   // gw[cout x K] += go_all * col^T; the bias gradient rides the packing
   // pass as go_all's row sums.
   blocked_gemm_a_bt_accum(go_all, col, gw, s.cout, n_all, kdim, nullptr, gb);

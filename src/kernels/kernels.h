@@ -19,7 +19,10 @@
 //
 // Scratch memory comes from a per-thread Workspace (workspace.h): im2col
 // buffers and packed panels are reused across batches, so steady-state
-// training performs zero per-batch allocations inside the kernels.
+// training performs zero per-batch allocations inside the kernels. The
+// blocked conv forward also leaves its column matrix in the workspace's
+// small tagged cache, where the matching backward picks it up instead of
+// lowering the same input a second time (ConvTag below).
 #pragma once
 
 #include <cstddef>
@@ -48,7 +51,25 @@ struct Conv2dShape {
   std::size_t pad = 0;
   std::size_t oh = 0;
   std::size_t ow = 0;
+
+  friend bool operator==(const Conv2dShape&, const Conv2dShape&) = default;
 };
+
+// Names one conv forward pass: the calling layer's process-unique id
+// (new_conv_layer_id) and that layer's forward count. The blocked
+// backward reuses the forward's column matrix only when its tag matches
+// exactly, so a tag must never name two different inputs. layer == 0 is
+// untagged: nothing is cached and the backward re-lowers its input.
+struct ConvTag {
+  std::uint64_t layer = 0;
+  std::uint64_t seq = 0;
+
+  friend bool operator==(const ConvTag&, const ConvTag&) = default;
+};
+
+// A fresh nonzero layer id from a process-wide counter; ids are never
+// reused, so a cached column matrix can outlive its layer harmlessly.
+std::uint64_t new_conv_layer_id();
 
 // One kernel set. All GEMM epilogue pointers are optional (nullptr = no
 // epilogue); epilogues are fused into the packing/store passes of the
@@ -76,18 +97,23 @@ struct KernelOps {
                           float* a_col_sums);
 
   // out[batch, cout, oh, ow] = conv(in, weights) + bias per out-channel.
+  // `tag` names this forward so the backward of the same (layer, seq) can
+  // reuse its lowering; the naive set ignores it.
   void (*conv2d_forward)(const Conv2dShape& s, const float* in,
-                         const float* weights, const float* bias, float* out);
+                         const float* weights, const float* bias, float* out,
+                         ConvTag tag);
 
   // Given grad_output `go` [batch, cout, oh, ow]: accumulate the weight
   // gradient into gw [cout, cin, k, k] and the bias gradient into
   // gb [cout], and write the input gradient into gi (zero-initialized by
   // the caller, same shape as `in`). gi may be nullptr (first layer of a
   // network) — the input-gradient work is skipped and gw/gb are
-  // bit-identical to the gi != nullptr call.
+  // bit-identical to the gi != nullptr call. `tag` must be the tag of
+  // the forward that saw `in` (or untagged); results never depend on
+  // whether the cached lowering was still there.
   void (*conv2d_backward)(const Conv2dShape& s, const float* in,
                           const float* weights, const float* go, float* gw,
-                          float* gb, float* gi);
+                          float* gb, float* gi, ConvTag tag);
 };
 
 // Process-wide active kernel set. run_experiment() sets it from
@@ -115,8 +141,11 @@ bool blocked_routes_to_naive(std::size_t m, std::size_t k, std::size_t n);
 // running inside a ThreadPool task (parallel_for must never nest, see
 // runtime/thread_pool.h). Worker threads never inherit it: the pointer is
 // thread-local, so kernels called from per-client training tasks always
-// see nullptr and stay sequential. Install it on the main thread around
-// single-model hot paths (trojan-model training, benches).
+// see nullptr and stay sequential. run_experiment does not install it:
+// each fanned-out image is microseconds of copying, below the pool's
+// per-task dispatch cost, so lent to trojan-model training it made the
+// default thread count several times slower than one thread. Kept for
+// the campaign benchmark's traced run, which still installs it.
 runtime::ThreadPool* kernel_pool();
 
 class ScopedKernelPool {
@@ -133,7 +162,7 @@ class ScopedKernelPool {
 // --- flat-vector aggregation math ---------------------------------------
 // Hot helpers behind tensor/vecops.h, compiled in this library's optimized
 // translation units. Not kernel-set-dispatched: both sets share one
-// definition, so aggregation numerics never depend on the --kernels flag.
+// definition, so aggregation numerics never depend on the active kernel set.
 
 // a[i] = float(a[i] + s * b[i]).
 void axpy_inplace(float* a, double s, const float* b, std::size_t n);
@@ -156,5 +185,22 @@ void relu_forward_mask(float* x, std::size_t n, std::uint64_t* mask);
 
 // ReLU backward: zero g[i] wherever mask bit i is clear.
 void relu_backward_mask(float* g, std::size_t n, const std::uint64_t* mask);
+
+// 2x2 stride-2 max pooling of `planes` row-major h x w planes (h, w even)
+// into (h/2) x (w/2) planes. Within a window the candidates are visited
+// in (0,0) (0,1) (1,0) (1,1) order and a later one wins only under strict
+// >, so ties keep the first and a NaN resolves exactly like the scalar
+// tournament `m0 = b > a ? b : a; m1 = d > c ? d : c; m1 > m0 ? m1 : m0`.
+// code[i] records output i's winner as row * 2 + col (0..3). SIMD
+// compare/select on x86 with a branch-free scalar tail — only compares
+// and copies, so the output is identical on every path.
+void maxpool2x2_forward(const float* in, std::size_t planes, std::size_t h,
+                        std::size_t w, float* out, std::uint8_t* code);
+
+// Max-pool backward: gi[winner of window i] += go[i], with gi shaped like
+// the forward's input (zero-initialized by the caller).
+void maxpool2x2_backward(const float* go, const std::uint8_t* code,
+                         std::size_t planes, std::size_t h, std::size_t w,
+                         float* gi);
 
 }  // namespace collapois::kernels

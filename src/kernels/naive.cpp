@@ -59,8 +59,10 @@ void naive_gemm_at_b_accum(const float* a, const float* b, float* c,
   }
 }
 
+// The reference loops recompute everything per call; the tag is unused.
 void naive_conv2d_forward(const Conv2dShape& s, const float* in,
-                          const float* wts, const float* bias, float* out) {
+                          const float* wts, const float* bias, float* out,
+                          ConvTag /*tag*/) {
   for (std::size_t b = 0; b < s.batch; ++b) {
     for (std::size_t oc = 0; oc < s.cout; ++oc) {
       for (std::size_t oy = 0; oy < s.oh; ++oy) {
@@ -96,7 +98,7 @@ void naive_conv2d_forward(const Conv2dShape& s, const float* in,
 
 void naive_conv2d_backward(const Conv2dShape& s, const float* in,
                            const float* wts, const float* go, float* gw,
-                           float* gb, float* gi) {
+                           float* gb, float* gi, ConvTag /*tag*/) {
   for (std::size_t b = 0; b < s.batch; ++b) {
     for (std::size_t oc = 0; oc < s.cout; ++oc) {
       for (std::size_t oy = 0; oy < s.oh; ++oy) {

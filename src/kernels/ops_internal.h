@@ -16,10 +16,11 @@ void naive_gemm_at_b_accum(const float* a, const float* b, float* c,
                            std::size_t k, std::size_t m, std::size_t n,
                            float* a_col_sums);
 void naive_conv2d_forward(const Conv2dShape& s, const float* in,
-                          const float* weights, const float* bias, float* out);
+                          const float* weights, const float* bias, float* out,
+                          ConvTag tag);
 void naive_conv2d_backward(const Conv2dShape& s, const float* in,
                            const float* weights, const float* go, float* gw,
-                           float* gb, float* gi);
+                           float* gb, float* gi, ConvTag tag);
 
 // blocked.cpp — packed/blocked GEMM and the im2col convolution.
 void blocked_gemm(const float* a, const float* b, float* c, std::size_t m,
@@ -32,10 +33,10 @@ void blocked_gemm_at_b_accum(const float* a, const float* b, float* c,
                              float* a_col_sums);
 void blocked_conv2d_forward(const Conv2dShape& s, const float* in,
                             const float* weights, const float* bias,
-                            float* out);
+                            float* out, ConvTag tag);
 void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
                              const float* weights, const float* go, float* gw,
-                             float* gb, float* gi);
+                             float* gb, float* gi, ConvTag tag);
 
 // One ISA tier's GEMM entry points behind the blocked set's runtime
 // dispatch (cpu_dispatch.h). Only the GEMMs are tier-specific — the conv

@@ -31,6 +31,12 @@ std::atomic<KernelKind> g_active{KernelKind::blocked};
 
 }  // namespace
 
+std::uint64_t new_conv_layer_id() {
+  // Starts at 1: layer id 0 is the untagged ConvTag.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 const char* kernel_kind_name(KernelKind kind) {
   switch (kind) {
     case KernelKind::naive: return "naive";

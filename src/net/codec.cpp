@@ -181,6 +181,12 @@ std::uint64_t get_varint(const std::vector<std::uint8_t>& in,
   }
 }
 
+// memcpy that accepts a zero-length copy between empty vectors: their
+// data() may be null, and memcpy requires valid pointers even for n == 0.
+void copy_bytes(void* dst, const void* src, std::size_t n) {
+  if (n > 0) std::memcpy(dst, src, n);
+}
+
 // The poison marker: a lossy encoder that sees a non-finite element
 // writes (n, all_finite=false) and nothing else; the decoder returns n
 // NaNs so the server's finiteness check rejects the update exactly like
@@ -201,7 +207,7 @@ void encode_fp16(fl::StateWriter& w, std::span<const float> delta,
   std::vector<std::uint16_t> half(n);
   ops.f32_to_f16(delta.data(), half.data(), n);
   std::vector<std::uint8_t> blob(2 * n);
-  std::memcpy(blob.data(), half.data(), blob.size());
+  copy_bytes(blob.data(), half.data(), blob.size());
   w.write_bytes(blob);
 }
 
@@ -213,7 +219,7 @@ tensor::FlatVec decode_fp16(fl::StateReader& r, const detail::CodecOps& ops) {
     throw std::runtime_error("codec: fp16 blob size mismatch");
   }
   std::vector<std::uint16_t> half(n);
-  std::memcpy(half.data(), blob.data(), blob.size());
+  copy_bytes(half.data(), blob.data(), blob.size());
   tensor::FlatVec out(n);
   ops.f16_to_f32(half.data(), out.data(), n);
   return out;
@@ -325,7 +331,7 @@ void encode_topk(fl::StateWriter& w, std::span<const float> delta,
   std::vector<std::uint16_t> half(k);
   ops.f32_to_f16(kept.data(), half.data(), k);
   std::vector<std::uint8_t> value_blob(2 * k);
-  std::memcpy(value_blob.data(), half.data(), value_blob.size());
+  copy_bytes(value_blob.data(), half.data(), value_blob.size());
   w.write_bytes(value_blob);
 }
 
@@ -353,7 +359,7 @@ tensor::FlatVec decode_topk(fl::StateReader& r, const detail::CodecOps& ops) {
     throw std::runtime_error("codec: topk value blob size mismatch");
   }
   std::vector<std::uint16_t> half(k);
-  std::memcpy(half.data(), value_blob.data(), value_blob.size());
+  copy_bytes(half.data(), value_blob.data(), value_blob.size());
   std::vector<float> vals(k);
   ops.f16_to_f32(half.data(), vals.data(), k);
   tensor::FlatVec out(n, 0.0f);

@@ -120,7 +120,8 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
       pad_(padding),
       params_(out_channels * in_channels * kernel * kernel + out_channels,
               0.0f),
-      grads_(params_.size(), 0.0f) {
+      grads_(params_.size(), 0.0f),
+      id_(kernels::new_conv_layer_id()) {
   if (cin_ == 0 || cout_ == 0 || k_ == 0) {
     throw std::invalid_argument("Conv2d: zero-sized layer");
   }
@@ -155,7 +156,7 @@ Tensor Conv2d::forward(Tensor input) {
   kernels::ops().conv2d_forward(shape, cached_input_.data().data(),
                                 params_.data(),
                                 params_.data() + cout_ * cin_ * k_ * k_,
-                                out.data().data());
+                                out.data().data(), {id_, ++forwards_});
   return out;
 }
 
@@ -175,19 +176,12 @@ Tensor Conv2d::backward_impl(Tensor grad_output, bool need_input_grad) {
   }
   kernels::Conv2dShape shape{is[0], cin_, is[2], is[3], cout_,
                              k_,    pad_, gs[2], gs[3]};
-  if (!need_input_grad) {
-    kernels::ops().conv2d_backward(shape, cached_input_.data().data(),
-                                   params_.data(), grad_output.data().data(),
-                                   grads_.data(),
-                                   grads_.data() + cout_ * cin_ * k_ * k_,
-                                   nullptr);
-    return {};
-  }
-  Tensor grad_in(is);
+  Tensor grad_in = need_input_grad ? Tensor(is) : Tensor();
   kernels::ops().conv2d_backward(
       shape, cached_input_.data().data(), params_.data(),
       grad_output.data().data(), grads_.data(),
-      grads_.data() + cout_ * cin_ * k_ * k_, grad_in.data().data());
+      grads_.data() + cout_ * cin_ * k_ * k_,
+      need_input_grad ? grad_in.data().data() : nullptr, {id_, forwards_});
   return grad_in;
 }
 
@@ -206,53 +200,21 @@ Tensor MaxPool2d::forward(Tensor input) {
         "MaxPool2d::forward: expected [B, C, H, W] with even H, W");
   }
   in_shape_ = s;
-  const std::size_t batch = s[0];
-  const std::size_t c = s[1];
-  const std::size_t h = s[2];
-  const std::size_t w = s[3];
-  const std::size_t oh = h / 2;
-  const std::size_t ow = w / 2;
-  Tensor out({batch, c, oh, ow});
-  argmax_.resize(out.size());
-  const float* in = input.data().data();
-  float* o = out.data().data();
-  // Per channel plane, walk two input rows at a time; ties keep the
-  // first candidate in (0,0) (0,1) (1,0) (1,1) order.
-  for (std::size_t plane = 0; plane < batch * c; ++plane) {
-    const std::size_t pbase = plane * h * w;
-    const float* pin = in + pbase;
-    float* pout = o + plane * oh * ow;
-    std::size_t* parg = argmax_.data() + plane * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      const float* r0 = pin + 2 * oy * w;
-      const float* r1 = r0 + w;
-      const std::size_t rbase = pbase + 2 * oy * w;
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t x = 2 * ox;
-        // Branchless tournament; strict > keeps the first candidate on
-        // ties, matching the scan order above.
-        const float m0 = r0[x + 1] > r0[x] ? r0[x + 1] : r0[x];
-        const std::size_t i0 = r0[x + 1] > r0[x] ? x + 1 : x;
-        const float m1 = r1[x + 1] > r1[x] ? r1[x + 1] : r1[x];
-        const std::size_t i1 = w + (r1[x + 1] > r1[x] ? x + 1 : x);
-        pout[ox] = m1 > m0 ? m1 : m0;
-        parg[ox] = rbase + (m1 > m0 ? i1 : i0);
-      }
-      pout += ow;
-      parg += ow;
-    }
-  }
+  Tensor out({s[0], s[1], s[2] / 2, s[3] / 2});
+  code_.resize(out.size());
+  kernels::maxpool2x2_forward(input.data().data(), s[0] * s[1], s[2], s[3],
+                              out.data().data(), code_.data());
   return out;
 }
 
 Tensor MaxPool2d::backward(Tensor grad_output) {
-  if (grad_output.size() != argmax_.size()) {
+  if (grad_output.size() != code_.size()) {
     throw std::invalid_argument("MaxPool2d::backward: size mismatch");
   }
   Tensor grad_in(in_shape_);
-  float* gi = grad_in.data().data();
-  const float* go = grad_output.data().data();
-  for (std::size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += go[i];
+  kernels::maxpool2x2_backward(grad_output.data().data(), code_.data(),
+                               in_shape_[0] * in_shape_[1], in_shape_[2],
+                               in_shape_[3], grad_in.data().data());
   return grad_in;
 }
 

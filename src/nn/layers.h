@@ -16,8 +16,8 @@
 // site.
 //
 // The heavy math (GEMM, convolution) dispatches through the compute-kernel
-// registry (src/kernels/): `blocked` im2col + packed GEMM by default,
-// `naive` reference loops via --kernels naive.
+// registry (src/kernels/): `blocked` im2col + packed GEMM by default, the
+// `naive` reference loops as the test oracle (ExperimentConfig::kernels).
 #pragma once
 
 #include <cstdint>
@@ -112,10 +112,16 @@ class Relu : public Layer {
 // Input [B, C_in, H, W] -> output [B, C_out, H-k+1+2p, W-k+1+2p].
 // Forward/backward lower onto the active compute-kernel set (im2col +
 // blocked GEMM with fused bias epilogues, or the naive direct loops).
+// Each forward is tagged (layer id, forward count) so the backward can
+// reuse the forward's column matrix (kernels::ConvTag). Copying would
+// give two layers one id, so a Conv2d is only ever clone()d, which draws
+// a fresh id.
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t padding = 0);
+  Conv2d(const Conv2d&) = delete;
+  Conv2d& operator=(const Conv2d&) = delete;
 
   Tensor forward(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
@@ -136,9 +142,13 @@ class Conv2d : public Layer {
   std::vector<float> params_;
   std::vector<float> grads_;
   Tensor cached_input_;
+  std::uint64_t id_;           // kernels::new_conv_layer_id()
+  std::uint64_t forwards_ = 0; // tag of the forward behind cached_input_
 };
 
 // 2x2 max pooling with stride 2 on [B, C, H, W] (H, W even required).
+// The backward routing keeps one byte per output: the window position of
+// its maximum (kernels::maxpool2x2_forward).
 class MaxPool2d : public Layer {
  public:
   Tensor forward(Tensor input) override;
@@ -146,7 +156,7 @@ class MaxPool2d : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  std::vector<std::size_t> argmax_;
+  std::vector<std::uint8_t> code_;
   std::vector<std::size_t> in_shape_;
 };
 

@@ -162,6 +162,9 @@ void validate(const ExperimentConfig& cfg, const RunOptions& options) {
               cfg.dba.target_label == cfg.target_label,
           "target_label must match trojan_train, dpois and dba.target_label");
   fl::validate(cfg.faults);
+  if (cfg.round_engine == fl::RoundEngineKind::buffered_async) {
+    fl::validate(cfg.async);
+  }
   agg::validate(cfg.shard_faults);
   if (cfg.net.enabled) net::validate(cfg.net);
   net::validate_codec(cfg.codec);
@@ -517,13 +520,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     nn::Model attacker_model = wb.architecture;
     attacker_model.set_parameters(algo->global_params());
     stats::Rng attacker_rng = rng.fork();
-    // Trojan training runs on the main thread while the pool idles, so
-    // lend the pool to the conv kernels for the im2col batch fan-out
-    // (disjoint per-image writes — bit-identical for any thread count).
-    // Per-client training never gets this: kernel_pool() is thread-local
-    // and worker threads keep it null, which is what makes nested
-    // parallel_for impossible (see kernels/kernels.h).
-    kernels::ScopedKernelPool lend(pool.get());
+    // Trojan training runs sequentially on the main thread. Lending it
+    // the pool for the per-image im2col fan-out made the default thread
+    // count several times slower than --threads 1: each fanned-out item
+    // is microseconds of copying, far below a task's dispatch cost.
     auto trained = core::train_trojaned_model(std::move(attacker_model),
                                               auxiliary, *wb.train_triggers[0],
                                               cfg.trojan_train, attacker_rng);

@@ -246,6 +246,19 @@ TEST(CodecRoundTrip, Int8AllZeroTensorDecodesToZeros) {
   for (const float x : back) EXPECT_EQ(x, 0.0f);
 }
 
+// A zero-length update round-trips through every lossy codec. Its
+// buffers are empty vectors whose data() may be null, and memcpy needs
+// valid pointers even for zero bytes (UBSan reports the null).
+TEST(CodecRoundTrip, ZeroLengthDeltaRoundTripsThroughEveryLossyCodec) {
+  const tensor::FlatVec empty;
+  for (const CodecKind kind :
+       {CodecKind::fp16, CodecKind::int8, CodecKind::topk}) {
+    const auto back =
+        decode_bytes(encode_bytes(empty, make_codec(kind)), make_codec(kind));
+    EXPECT_TRUE(back.empty()) << net::codec_kind_name(kind);
+  }
+}
+
 TEST(CodecRoundTrip, TopkKeepsTheLargestMagnitudesAndZeroesTheRest) {
   for (const std::size_t n : kLengths) {
     if (n == 0) continue;

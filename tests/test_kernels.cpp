@@ -187,9 +187,9 @@ TEST(KernelConv, ForwardBlockedMatchesNaive) {
     std::vector<float> want(out_n, 9.0f);
     std::vector<float> got(out_n, -9.0f);
     naive.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                         want.data());
+                         want.data(), {});
     blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                           got.data());
+                           got.data(), {});
     expect_close(got, want);
   }
 }
@@ -214,12 +214,12 @@ TEST(KernelConv, BackwardBlockedMatchesNaive) {
     auto want_gb = gb0;
     std::vector<float> want_gi(in.size(), 0.0f);
     naive.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                          want_gw.data(), want_gb.data(), want_gi.data());
+                          want_gw.data(), want_gb.data(), want_gi.data(), {});
     auto got_gw = gw0;
     auto got_gb = gb0;
     std::vector<float> got_gi(in.size(), 0.0f);
     blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                            got_gw.data(), got_gb.data(), got_gi.data());
+                            got_gw.data(), got_gb.data(), got_gi.data(), {});
     expect_close(got_gw, want_gw);
     expect_close(got_gb, want_gb);
     expect_close(got_gi, want_gi);
@@ -241,8 +241,10 @@ TEST(KernelDeterminism, RepeatedCallsAreBitIdenticalForBothSets) {
     const auto& k = kernels::ops_for(kind);
     std::vector<float> out1(s.batch * s.cout * s.oh * s.ow);
     std::vector<float> out2 = out1;
-    k.conv2d_forward(s, in.data(), weights.data(), bias.data(), out1.data());
-    k.conv2d_forward(s, in.data(), weights.data(), bias.data(), out2.data());
+    k.conv2d_forward(s, in.data(), weights.data(), bias.data(), out1.data(),
+                     {});
+    k.conv2d_forward(s, in.data(), weights.data(), bias.data(), out2.data(),
+                     {});
     ASSERT_EQ(0, std::memcmp(out1.data(), out2.data(),
                              out1.size() * sizeof(float)));
 
@@ -250,9 +252,9 @@ TEST(KernelDeterminism, RepeatedCallsAreBitIdenticalForBothSets) {
         gi1(in.size(), 0.0f);
     std::vector<float> gw2 = gw1, gb2 = gb1, gi2 = gi1;
     k.conv2d_backward(s, in.data(), weights.data(), go.data(), gw1.data(),
-                      gb1.data(), gi1.data());
+                      gb1.data(), gi1.data(), {});
     k.conv2d_backward(s, in.data(), weights.data(), go.data(), gw2.data(),
-                      gb2.data(), gi2.data());
+                      gb2.data(), gi2.data(), {});
     ASSERT_EQ(0,
               std::memcmp(gw1.data(), gw2.data(), gw1.size() * sizeof(float)));
     ASSERT_EQ(0,
@@ -279,14 +281,14 @@ TEST(KernelDeterminism, ResultUnaffectedByWorkspacePollution) {
 
   std::vector<float> clean(small.batch * small.cout * small.oh * small.ow);
   blocked.conv2d_forward(small, in_s.data(), w_s.data(), b_s.data(),
-                         clean.data());
+                         clean.data(), {});
   // Pollute the thread's workspace with a larger problem, then redo.
   std::vector<float> scratch(big.batch * big.cout * big.oh * big.ow);
   blocked.conv2d_forward(big, in_b.data(), w_b.data(), b_b.data(),
-                         scratch.data());
+                         scratch.data(), {});
   std::vector<float> redo(clean.size());
   blocked.conv2d_forward(small, in_s.data(), w_s.data(), b_s.data(),
-                         redo.data());
+                         redo.data(), {});
   ASSERT_EQ(0,
             std::memcmp(clean.data(), redo.data(),
                         clean.size() * sizeof(float)));
@@ -320,18 +322,23 @@ TEST(KernelWorkspace, SteadyStateConvAllocatesNothingNew) {
   std::vector<float> out(s.batch * s.cout * s.oh * s.ow);
   std::vector<float> gw(weights.size(), 0.0f), gb(s.cout, 0.0f),
       gi(in.size(), 0.0f);
-
-  blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                         out.data());
-  blocked.conv2d_backward(s, in.data(), weights.data(), go.data(), gw.data(),
-                          gb.data(), gi.data());
+  // One untagged step (scratch lowering) and one tagged step (column
+  // cache) per call; the tag's forward count advances like a layer's.
+  const std::uint64_t layer = kernels::new_conv_layer_id();
+  std::uint64_t seq = 0;
+  auto steps = [&] {
+    for (const kernels::ConvTag tag :
+         {kernels::ConvTag{}, kernels::ConvTag{layer, ++seq}}) {
+      blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
+                             out.data(), tag);
+      blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
+                              gw.data(), gb.data(), gi.data(), tag);
+    }
+  };
+  // Warm every column-cache entry, then no further step may allocate.
+  for (std::size_t i = 0; i < kernels::ColumnCache::kEntries; ++i) steps();
   const std::size_t warm = kernels::Workspace::tls().retained_bytes();
-  for (int i = 0; i < 5; ++i) {
-    blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                           out.data());
-    blocked.conv2d_backward(s, in.data(), weights.data(), go.data(), gw.data(),
-                            gb.data(), gi.data());
-  }
+  for (int i = 0; i < 5; ++i) steps();
   EXPECT_EQ(kernels::Workspace::tls().retained_bytes(), warm);
 }
 
@@ -397,16 +404,54 @@ TEST(KernelConv, NullInputGradLeavesParamGradsBitIdentical) {
       auto full_gb = gb0;
       std::vector<float> gi(in.size(), 0.0f);
       ops.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                          full_gw.data(), full_gb.data(), gi.data());
+                          full_gw.data(), full_gb.data(), gi.data(), {});
       auto skip_gw = gw0;
       auto skip_gb = gb0;
       ops.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                          skip_gw.data(), skip_gb.data(), nullptr);
+                          skip_gw.data(), skip_gb.data(), nullptr, {});
       EXPECT_EQ(0, std::memcmp(skip_gw.data(), full_gw.data(),
                                full_gw.size() * sizeof(float)));
       EXPECT_EQ(0, std::memcmp(skip_gb.data(), full_gb.data(),
                                full_gb.size() * sizeof(float)));
     }
+  }
+}
+
+// --- column reuse: a tagged backward (cache hit) equals an untagged one
+// (re-lowered) bit for bit.
+
+TEST(KernelConv, TaggedBackwardReusesColumnsBitIdentically) {
+  stats::Rng rng(91);
+  const auto& blocked = kernels::ops_for(kernels::KernelKind::blocked);
+  const std::uint64_t layer = kernels::new_conv_layer_id();
+  std::uint64_t seq = 0;
+  for (const auto& s : kConvShapes) {
+    SCOPED_TRACE(testing::Message() << "b=" << s.batch << " cin=" << s.cin
+                                    << " cout=" << s.cout << " k=" << s.k
+                                    << " pad=" << s.pad);
+    const auto in = random_vec(rng, s.batch * s.cin * s.h * s.w);
+    const auto weights = random_vec(rng, s.cout * s.cin * s.k * s.k);
+    const auto bias = random_vec(rng, s.cout);
+    const auto go = random_vec(rng, s.batch * s.cout * s.oh * s.ow);
+    std::vector<float> out(s.batch * s.cout * s.oh * s.ow);
+    const kernels::ConvTag tag{layer, ++seq};
+    blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
+                           out.data(), tag);
+    ASSERT_NE(kernels::Workspace::tls().columns().find(tag, s), nullptr);
+    std::vector<float> hit_gw(weights.size(), 0.0f), hit_gb(s.cout, 0.0f),
+        hit_gi(in.size(), 0.0f);
+    auto miss_gw = hit_gw, miss_gb = hit_gb, miss_gi = hit_gi;
+    blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
+                            hit_gw.data(), hit_gb.data(), hit_gi.data(), tag);
+    blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
+                            miss_gw.data(), miss_gb.data(), miss_gi.data(),
+                            {});
+    EXPECT_EQ(0, std::memcmp(hit_gw.data(), miss_gw.data(),
+                             hit_gw.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(hit_gb.data(), miss_gb.data(),
+                             hit_gb.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(hit_gi.data(), miss_gi.data(),
+                             hit_gi.size() * sizeof(float)));
   }
 }
 
@@ -582,11 +627,11 @@ TEST(KernelDispatch, EveryTierConvMatchesNaive) {
 
     std::vector<float> want(go.size());
     naive.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                         want.data());
+                         want.data(), {});
     std::vector<float> want_gw(weights.size(), 0.0f), want_gb(s.cout, 0.0f),
         want_gi(in.size(), 0.0f);
     naive.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                          want_gw.data(), want_gb.data(), want_gi.data());
+                          want_gw.data(), want_gb.data(), want_gi.data(), {});
 
     for (const auto tier : kernels::available_tiers()) {
       SCOPED_TRACE(testing::Message()
@@ -595,12 +640,12 @@ TEST(KernelDispatch, EveryTierConvMatchesNaive) {
       kernels::set_active_tier(tier);
       std::vector<float> got(go.size(), -3.0f);
       blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                             got.data());
+                             got.data(), {});
       expect_close(got, want);
       std::vector<float> gw(weights.size(), 0.0f), gb(s.cout, 0.0f),
           gi(in.size(), 0.0f);
       blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
-                              gw.data(), gb.data(), gi.data());
+                              gw.data(), gb.data(), gi.data(), {});
       expect_close(gw, want_gw);
       expect_close(gb, want_gb);
       expect_close(gi, want_gi);
@@ -624,10 +669,10 @@ TEST(KernelPool, ConvResultsBitIdenticalWithAndWithoutPool) {
   std::vector<float> inline_gw(weights.size(), 0.0f), inline_gb(s.cout, 0.0f),
       inline_gi(in.size(), 0.0f);
   blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                         inline_out.data());
+                         inline_out.data(), {});
   blocked.conv2d_backward(s, in.data(), weights.data(), go.data(),
                           inline_gw.data(), inline_gb.data(),
-                          inline_gi.data());
+                          inline_gi.data(), {});
 
   runtime::ThreadPool pool(3);
   {
@@ -637,9 +682,9 @@ TEST(KernelPool, ConvResultsBitIdenticalWithAndWithoutPool) {
     std::vector<float> gw(weights.size(), 0.0f), gb(s.cout, 0.0f),
         gi(in.size(), 0.0f);
     blocked.conv2d_forward(s, in.data(), weights.data(), bias.data(),
-                           out.data());
+                           out.data(), {});
     blocked.conv2d_backward(s, in.data(), weights.data(), go.data(), gw.data(),
-                            gb.data(), gi.data());
+                            gb.data(), gi.data(), {});
     EXPECT_EQ(0, std::memcmp(out.data(), inline_out.data(),
                              out.size() * sizeof(float)));
     EXPECT_EQ(0, std::memcmp(gw.data(), inline_gw.data(),

@@ -4,10 +4,17 @@
 // backward pass).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "data/dataset.h"
+#include "kernels/workspace.h"
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/zoo.h"
@@ -123,6 +130,124 @@ TEST(Conv2d, GradientCheck) {
   check_gradients(m, x);
 }
 
+// --- Conv2d column reuse: a tagged forward leaves its im2col matrix for
+// the backward of the same tag. Whatever runs in between, gradients must
+// be bit-identical to an uninterrupted forward -> backward.
+
+Tensor random_tensor(stats::Rng& rng, std::vector<std::size_t> shape) {
+  Tensor t(std::move(shape));
+  for (auto& v : t.storage()) v = static_cast<float>(rng.normal());
+  return t;
+}
+
+struct ConvGrads {
+  std::vector<float> params;  // gw | gb
+  std::vector<float> input;   // gi
+};
+
+ConvGrads backward_grads(Conv2d& layer, const Tensor& go) {
+  const Tensor gi = layer.backward(go);
+  const auto g = layer.gradients();
+  return {{g.begin(), g.end()}, gi.storage()};
+}
+
+// Gradients of one uninterrupted forward -> backward of `layer`'s
+// parameters on `input`, from a separately constructed layer so the
+// reference never touches `layer`'s cache entries or id.
+ConvGrads reference_grads(Conv2d& layer, std::size_t cin, std::size_t cout,
+                          const Tensor& input, const Tensor& go) {
+  Conv2d twin(cin, cout, 3, 1);
+  const auto p = layer.parameters();
+  std::copy(p.begin(), p.end(), twin.parameters().begin());
+  (void)twin.forward(input);
+  return backward_grads(twin, go);
+}
+
+void expect_same_bits(const ConvGrads& got, const ConvGrads& want) {
+  ASSERT_EQ(got.params.size(), want.params.size());
+  ASSERT_EQ(got.input.size(), want.input.size());
+  EXPECT_EQ(0, std::memcmp(got.params.data(), want.params.data(),
+                           want.params.size() * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(got.input.data(), want.input.data(),
+                           want.input.size() * sizeof(float)));
+}
+
+TEST(Conv2d, ColumnReuseSurvivesInterveningForwards) {
+  stats::Rng rng(9);
+  Conv2d layer(2, 3, 3, 1);
+  layer.init(rng);
+  const Tensor x = random_tensor(rng, {4, 2, 8, 8});
+  const Tensor other_x = random_tensor(rng, {4, 2, 8, 8});
+  const Tensor go = random_tensor(rng, {4, 3, 8, 8});
+
+  const ConvGrads want = reference_grads(layer, 2, 3, x, go);
+
+  Conv2d same_shape(2, 3, 3, 1);
+  same_shape.init(rng);
+  auto clone = layer.clone();
+  const std::pair<const char*, std::function<void()>> between[] = {
+      {"nothing", [] {}},
+      {"another same-shape layer's forward",
+       [&] { (void)same_shape.forward(other_x); }},
+      {"a clone's forward on another input",
+       [&] { (void)clone->forward(other_x); }},
+      {"enough forwards to evict the entry",
+       [&] {
+         for (std::size_t i = 0; i <= kernels::ColumnCache::kEntries; ++i) {
+           (void)same_shape.forward(other_x);
+         }
+       }},
+  };
+  for (const auto& [what, run] : between) {
+    SCOPED_TRACE(what);
+    layer.zero_grad();
+    (void)layer.forward(x);
+    run();
+    expect_same_bits(backward_grads(layer, go), want);
+  }
+}
+
+// A clone takes a fresh layer id: the original and its clone each read
+// back their own input's columns even when their forward counts agree.
+TEST(Conv2d, ClonesNeverShareCachedColumns) {
+  stats::Rng rng(11);
+  Conv2d layer(2, 3, 3, 1);
+  layer.init(rng);
+  auto clone = layer.clone();
+  const Tensor x = random_tensor(rng, {2, 2, 8, 8});
+  const Tensor y = random_tensor(rng, {2, 2, 8, 8});
+  const Tensor go = random_tensor(rng, {2, 3, 8, 8});
+  const ConvGrads want_x = reference_grads(layer, 2, 3, x, go);
+  const ConvGrads want_y = reference_grads(layer, 2, 3, y, go);
+
+  (void)layer.forward(x);
+  (void)clone->forward(y);
+  expect_same_bits(backward_grads(static_cast<Conv2d&>(*clone), go), want_y);
+  expect_same_bits(backward_grads(layer, go), want_x);
+}
+
+// A second forward of the same layer replaces the cached input, and a
+// backward on a thread that never saw the forward lowers it afresh.
+TEST(Conv2d, ColumnReuseFollowsTheLatestForwardAndThread) {
+  stats::Rng rng(10);
+  Conv2d layer(1, 4, 3, 1);
+  layer.init(rng);
+  const Tensor x = random_tensor(rng, {3, 1, 16, 16});
+  const Tensor stale = random_tensor(rng, {3, 1, 16, 16});
+  const Tensor go = random_tensor(rng, {3, 4, 16, 16});
+  const ConvGrads want = reference_grads(layer, 1, 4, x, go);
+
+  (void)layer.forward(stale);
+  (void)layer.forward(x);
+  expect_same_bits(backward_grads(layer, go), want);
+
+  layer.zero_grad();
+  (void)layer.forward(x);
+  ConvGrads got;
+  std::thread([&] { got = backward_grads(layer, go); }).join();
+  expect_same_bits(got, want);
+}
+
 TEST(MaxPool2d, ForwardSelectsMaxAndRoutesGradient) {
   MaxPool2d pool;
   Tensor x({1, 1, 2, 2}, {1, 5, 3, 2});
@@ -138,6 +263,115 @@ TEST(MaxPool2d, RejectsOddDims) {
   MaxPool2d pool;
   Tensor x({1, 1, 3, 4});
   EXPECT_THROW(pool.forward(x), std::invalid_argument);
+}
+
+// The scalar tournament MaxPool2d used before its loops moved into the
+// kernels library, kept as the oracle: size_t argmax, strict >, first
+// candidate wins in (0,0) (0,1) (1,0) (1,1) order.
+void oracle_pool_forward(const std::vector<float>& in, std::size_t planes,
+                         std::size_t h, std::size_t w, std::vector<float>& out,
+                         std::vector<std::size_t>& argmax) {
+  const std::size_t oh = h / 2;
+  const std::size_t ow = w / 2;
+  out.assign(planes * oh * ow, 0.0f);
+  argmax.assign(out.size(), 0);
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const std::size_t pbase = plane * h * w;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const float* r0 = in.data() + pbase + 2 * oy * w;
+      const float* r1 = r0 + w;
+      const std::size_t rbase = pbase + 2 * oy * w;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const std::size_t x = 2 * ox;
+        const float m0 = r0[x + 1] > r0[x] ? r0[x + 1] : r0[x];
+        const std::size_t i0 = r0[x + 1] > r0[x] ? x + 1 : x;
+        const float m1 = r1[x + 1] > r1[x] ? r1[x + 1] : r1[x];
+        const std::size_t i1 = w + (r1[x + 1] > r1[x] ? x + 1 : x);
+        const std::size_t o = (plane * oh + oy) * ow + ox;
+        out[o] = m1 > m0 ? m1 : m0;
+        argmax[o] = rbase + (m1 > m0 ? i1 : i0);
+      }
+    }
+  }
+}
+
+void expect_pool_matches_oracle(const Tensor& x, const Tensor& go) {
+  const auto& s = x.shape();
+  std::vector<float> want_out;
+  std::vector<std::size_t> argmax;
+  oracle_pool_forward(x.storage(), s[0] * s[1], s[2], s[3], want_out, argmax);
+  std::vector<float> want_gi(x.size(), 0.0f);
+  for (std::size_t i = 0; i < argmax.size(); ++i) want_gi[argmax[i]] += go[i];
+
+  MaxPool2d pool;
+  const Tensor out = pool.forward(x);
+  ASSERT_EQ(out.size(), want_out.size());
+  EXPECT_EQ(0, std::memcmp(out.storage().data(), want_out.data(),
+                           want_out.size() * sizeof(float)));
+  const Tensor gi = pool.backward(go);
+  ASSERT_EQ(gi.size(), want_gi.size());
+  EXPECT_EQ(0, std::memcmp(gi.storage().data(), want_gi.data(),
+                           want_gi.size() * sizeof(float)));
+}
+
+// Values from a tiny set, so most windows hold ties, plus +-0 and NaN.
+TEST(MaxPool2d, MatchesScalarTournamentBitForBit) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float pool_values[] = {-1.0f, -0.0f, 0.0f, 1.0f, 2.0f};
+  stats::Rng rng(12);
+  auto draw = [&](bool with_nan) {
+    if (with_nan && rng.uniform_int(20) == 0) return nan;
+    return pool_values[rng.uniform_int(5)];
+  };
+  // w = 2, 6, 10 leave ow % 4 != 0 (scalar tail), 16 is all SIMD.
+  for (const std::size_t w : {2ul, 6ul, 10ul, 16ul}) {
+    for (const std::size_t h : {2ul, 4ul, 6ul}) {
+      for (const std::size_t batch : {1ul, 3ul}) {
+        for (const std::size_t c : {1ul, 2ul, 5ul}) {
+          for (const bool with_nan : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "b=" << batch << " c=" << c
+                                            << " h=" << h << " w=" << w
+                                            << " nan=" << with_nan);
+            Tensor x({batch, c, h, w});
+            for (auto& v : x.storage()) v = draw(with_nan);
+            Tensor go({batch, c, h / 2, w / 2});
+            for (auto& v : go.storage()) v = draw(false);
+            expect_pool_matches_oracle(x, go);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every window over {-1, -0, +0, 1, NaN}^4, laid out once across a wide
+// row (SIMD lanes, last window in the tail) and once down a w = 2 column
+// (every window in the tail).
+TEST(MaxPool2d, EveryWindowOfTiesZerosAndNaNMatchesTheOracle) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float values[] = {-1.0f, -0.0f, 0.0f, 1.0f, nan};
+  constexpr std::size_t kWindows = 5 * 5 * 5 * 5;
+  Tensor wide({1, 1, 2, 2 * kWindows});
+  Tensor tall({1, 1, 2 * kWindows, 2});
+  Tensor go({1, 1, 1, kWindows});
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    const float a = values[i % 5];
+    const float b = values[i / 5 % 5];
+    const float c = values[i / 25 % 5];
+    const float d = values[i / 125];
+    wide.storage()[2 * i] = a;
+    wide.storage()[2 * i + 1] = b;
+    wide.storage()[2 * kWindows + 2 * i] = c;
+    wide.storage()[2 * kWindows + 2 * i + 1] = d;
+    tall.storage()[4 * i] = a;
+    tall.storage()[4 * i + 1] = b;
+    tall.storage()[4 * i + 2] = c;
+    tall.storage()[4 * i + 3] = d;
+    go.storage()[i] = i % 7 == 0 ? -0.0f : static_cast<float>(i) - 300.0f;
+  }
+  expect_pool_matches_oracle(wide, go);
+  expect_pool_matches_oracle(tall,
+                             Tensor({1, 1, kWindows, 1}, go.storage()));
 }
 
 TEST(Flatten, RoundTrip) {

@@ -276,6 +276,16 @@ TEST(RunnerValidation, RejectsEveryConfigRule) {
        [](ExperimentConfig& c, RunOptions&) { c.dpois.target_label = 1; }},
       {"target_label must match",
        [](ExperimentConfig& c, RunOptions&) { c.dba.target_label = 1; }},
+      {"t_ms (--async-t-ms) must be finite and non-negative",
+       [](ExperimentConfig& c, RunOptions&) {
+         c.round_engine = fl::RoundEngineKind::buffered_async;
+         c.async.t_ms = -1.0;
+       }},
+      {"at least one aggregation trigger",
+       [](ExperimentConfig& c, RunOptions&) {
+         c.round_engine = fl::RoundEngineKind::buffered_async;
+         c.async.k = 0;
+       }},
   };
   for (const auto& [rule, breaks] : cases) {
     ExperimentConfig cfg = tiny_config();
