@@ -1,15 +1,29 @@
 #include "fl/state.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace collapois::fl {
 
-void StateWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+// The documented stream is little-endian; on a little-endian host it is
+// the in-memory representation, so every primitive is one bulk copy.
+static_assert(std::endian::native == std::endian::little,
+              "fl/state writes host-order bytes as the little-endian format");
+
+namespace {
+
+// Appends n raw bytes: one resize, one memcpy.
+void append(std::vector<std::uint8_t>& out, const void* src, std::size_t n) {
+  if (n == 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, src, n);
 }
+
+}  // namespace
+
+void StateWriter::write_u64(std::uint64_t v) { append(bytes_, &v, sizeof(v)); }
 
 void StateWriter::write_double(double v) {
   std::uint64_t bits = 0;
@@ -19,19 +33,14 @@ void StateWriter::write_double(double v) {
 }
 
 void StateWriter::write_floats(std::span<const float> v) {
+  static_assert(sizeof(float) == 4);
   write_size(v.size());
-  for (float x : v) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-    }
-  }
+  append(bytes_, v.data(), v.size_bytes());
 }
 
 void StateWriter::write_bytes(std::span<const std::uint8_t> v) {
   write_size(v.size());
-  bytes_.insert(bytes_.end(), v.begin(), v.end());
+  append(bytes_, v.data(), v.size());
 }
 
 void StateWriter::write_rng(const stats::Rng& rng) {
@@ -41,15 +50,15 @@ void StateWriter::write_rng(const stats::Rng& rng) {
   write_bool(st.has_cached_normal);
 }
 
+// Bounds checks compare against the bytes left (pos_ <= size always), so
+// a forged length near 2^64 cannot wrap past them.
 std::uint64_t StateReader::read_u64() {
-  if (pos_ + 8 > bytes_.size()) {
+  std::uint64_t v = 0;
+  if (sizeof(v) > bytes_.size() - pos_) {
     throw std::runtime_error("StateReader: truncated state blob");
   }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
+  std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
+  pos_ += sizeof(v);
   return v;
 }
 
@@ -62,24 +71,18 @@ double StateReader::read_double() {
 
 tensor::FlatVec StateReader::read_floats() {
   const std::size_t n = read_size();
-  if (pos_ + 4 * n > bytes_.size()) {
+  if (n > (bytes_.size() - pos_) / sizeof(float)) {
     throw std::runtime_error("StateReader: truncated float vector");
   }
   tensor::FlatVec out(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    std::uint32_t bits = 0;
-    for (int i = 0; i < 4; ++i) {
-      bits |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    std::memcpy(&out[j], &bits, sizeof(float));
-  }
+  if (n > 0) std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(float));
+  pos_ += n * sizeof(float);
   return out;
 }
 
 std::vector<std::uint8_t> StateReader::read_bytes() {
   const std::size_t n = read_size();
-  if (pos_ + n > bytes_.size()) {
+  if (n > bytes_.size() - pos_) {
     throw std::runtime_error("StateReader: truncated byte blob");
   }
   std::vector<std::uint8_t> out(bytes_.begin() + pos_,

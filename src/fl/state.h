@@ -9,7 +9,9 @@
 // The encoding is a flat little-endian byte stream with no per-field
 // tags; writer and reader must agree on the field sequence, which is
 // enforced structurally (each component reads exactly what it wrote) and
-// guarded by the checkpoint header's version number.
+// guarded by the checkpoint header's version number. Little-endian is
+// also the host order (asserted at compile time), so float vectors and
+// byte blobs move as single memcpys.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,9 @@ class StateWriter {
   void write_floats(std::span<const float> v);
   void write_bytes(std::span<const std::uint8_t> v);
   void write_rng(const stats::Rng& rng);
+  // Pre-sizes the buffer when the caller knows the final length, so a
+  // large image is written without reallocation.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }

@@ -1,17 +1,34 @@
 #include "net/envelope.h"
 
+#include <bit>
+#include <cstring>
 #include <exception>
 
 #include "fl/state.h"
 
 namespace collapois::net {
 
+// Words are read in host order, which is the little-endian order the
+// checksum is defined over.
+static_assert(std::endian::native == std::endian::little);
+
 std::uint64_t payload_checksum(std::span<const std::uint8_t> payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  for (std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;  // FNV prime
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;  // FNV prime
+  std::uint64_t h = 0xcbf29ce484222325ULL;            // FNV offset basis
+  const std::size_t words = payload.size() / sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, payload.data() + i * sizeof(w), sizeof(w));
+    h ^= w;
+    h *= kPrime;
   }
+  for (std::size_t i = words * sizeof(std::uint64_t); i < payload.size();
+       ++i) {
+    h ^= payload[i];
+    h *= kPrime;
+  }
+  h ^= static_cast<std::uint64_t>(payload.size());
+  h *= kPrime;
   return h;
 }
 

@@ -2,7 +2,8 @@
 //
 // Client updates cross the simulated network as byte payloads, not as
 // in-process objects: the sender serializes its ClientUpdate through the
-// fl/state binary codec and stamps an FNV-1a checksum over the payload.
+// fl/state binary codec and stamps a word-wise FNV-1a checksum over the
+// payload.
 // The receiver verifies the checksum BEFORE parsing, so a truncated or
 // bit-flipped message is detected at the network boundary — with a
 // telemetry counter — instead of surfacing as a mysterious NaN deep in
@@ -31,8 +32,14 @@
 
 namespace collapois::net {
 
-// 64-bit FNV-1a over the payload bytes. Not cryptographic — the threat
-// here is faults (truncation, bit flips), not forgery.
+// 64-bit word-wise FNV-1a: the FNV-1a step (xor, multiply by the odd FNV
+// prime) over each 8-byte little-endian word, then over each byte of the
+// tail, then over the length. Both steps are bijections of the running
+// state, so any change confined to one word (every single-byte flip)
+// always changes the digest; the length term separates a payload from
+// its zero-padded extensions. Not cryptographic — the threat here is
+// faults (truncation, bit flips), not forgery. Also the checkpoint
+// image's payload digest (sim/checkpoint.h).
 std::uint64_t payload_checksum(std::span<const std::uint8_t> payload);
 
 struct Envelope {

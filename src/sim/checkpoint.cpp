@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <type_traits>
 
@@ -33,7 +34,9 @@ constexpr std::uint64_t kMagic = 0x434f4c4c41504b54ULL;  // "COLLAPKT"
 // v7: config_fingerprint covers every trajectory-shaping field (local
 //     SGD, defense parameters, target label, attack and Trojan-training
 //     configs); the int8 codec lost its bits knob.
-constexpr std::uint64_t kVersion = 7;
+// v8: the payload digest is the word-wise FNV-1a of net::payload_checksum
+//     (8-byte words, byte tail, length) instead of byte-serial FNV-1a.
+constexpr std::uint64_t kVersion = 8;
 // Header: magic, version, payload_size, digest — 4 u64 fields.
 constexpr std::size_t kHeaderBytes = 32;
 
@@ -175,28 +178,45 @@ std::uint64_t codec_fingerprint(const net::CodecConfig& c) {
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ck) {
-  fl::StateWriter payload;
-  payload.write_u64(ck.fingerprint);
-  payload.write_u64(ck.net_fingerprint);
-  payload.write_u64(ck.engine_fingerprint);
-  payload.write_u64(ck.scale_fingerprint);
-  payload.write_u64(ck.codec_fingerprint);
-  payload.write_size(ck.rounds_completed);
-  for (std::uint64_t s : ck.run_rng.s) payload.write_u64(s);
-  payload.write_double(ck.run_rng.cached_normal);
-  payload.write_bool(ck.run_rng.has_cached_normal);
-  payload.write_floats(ck.trojaned_model);
-  payload.write_bytes(ck.fault_state);
-  payload.write_bytes(ck.net_state);
-  payload.write_bytes(ck.algo_state);
-
+  // One buffer holds the whole image: reserved at its exact size, written
+  // header-first with placeholder size and digest, which are patched in
+  // once the payload is in place — the multi-MB state is copied once,
+  // with no separate payload buffer or joined copy beside it.
+  constexpr std::size_t kU64 = sizeof(std::uint64_t);
+  // Fixed fields: five fingerprints, rounds_completed, the run RNG (state
+  // words, cached normal, flag) and the four length prefixes.
+  const std::size_t payload_size =
+      kU64 * (5 + 1 + std::size(ck.run_rng.s) + 2 + 4) +
+      sizeof(float) * ck.trojaned_model.size() +
+      ck.fault_state.size() + ck.net_state.size() + ck.algo_state.size();
   fl::StateWriter image;
+  image.reserve(kHeaderBytes + payload_size);
   image.write_u64(kMagic);
   image.write_u64(kVersion);
-  image.write_size(payload.bytes().size());
-  image.write_u64(net::payload_checksum(payload.bytes()));
+  image.write_size(0);  // payload_size, patched below
+  image.write_u64(0);   // digest, patched below
+  image.write_u64(ck.fingerprint);
+  image.write_u64(ck.net_fingerprint);
+  image.write_u64(ck.engine_fingerprint);
+  image.write_u64(ck.scale_fingerprint);
+  image.write_u64(ck.codec_fingerprint);
+  image.write_size(ck.rounds_completed);
+  for (std::uint64_t s : ck.run_rng.s) image.write_u64(s);
+  image.write_double(ck.run_rng.cached_normal);
+  image.write_bool(ck.run_rng.has_cached_normal);
+  image.write_floats(ck.trojaned_model);
+  image.write_bytes(ck.fault_state);
+  image.write_bytes(ck.net_state);
+  image.write_bytes(ck.algo_state);
+
   std::vector<std::uint8_t> out = image.take();
-  out.insert(out.end(), payload.bytes().begin(), payload.bytes().end());
+  const std::span<const std::uint8_t> payload =
+      std::span<const std::uint8_t>(out).subspan(kHeaderBytes);
+  const std::uint64_t size_field = payload.size();
+  const std::uint64_t digest = net::payload_checksum(payload);
+  // Header fields are little-endian u64s (fl/state asserts the host is).
+  std::memcpy(out.data() + 2 * kU64, &size_field, kU64);
+  std::memcpy(out.data() + 3 * kU64, &digest, kU64);
   return out;
 }
 

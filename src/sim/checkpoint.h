@@ -99,14 +99,17 @@ std::uint64_t scale_fingerprint(const ExperimentConfig& config);
 std::uint64_t codec_fingerprint(const net::CodecConfig& config);
 
 // Serializes the checkpoint into the on-disk image: a fixed header
-// (magic, version, payload size, FNV-1a payload digest — the
-// net::Envelope verify-before-parse discipline) followed by the payload
-// (the field sequence of Checkpoint). decode_checkpoint verifies the
-// header BEFORE parsing a single payload field, so truncation and bit
-// flips anywhere in the file fail loudly with `context` (typically the
-// file path) and the reason — never UB, never an attacker-sized
-// allocation. encode/decode are exposed so CheckpointStore and the
-// negative-path tests can work on in-memory images.
+// (magic, version 8, payload size, word-wise FNV-1a payload digest —
+// net::payload_checksum, the net::Envelope verify-before-parse
+// discipline) followed by the payload (the field sequence of
+// Checkpoint). The image is built in one buffer of its exact size; the
+// header's size and digest are patched in after the payload is written.
+// decode_checkpoint verifies the header BEFORE parsing a single payload
+// field, so truncation and bit flips anywhere in the file fail loudly
+// with `context` (typically the file path) and the reason — never UB,
+// never an attacker-sized allocation. encode/decode are exposed so
+// CheckpointStore and the negative-path tests can work on in-memory
+// images.
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ck);
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes,
                              const std::string& context);

@@ -16,6 +16,14 @@ void check_same_size(std::size_t a, std::size_t b, const char* who) {
   if (a != b) throw std::invalid_argument(std::string(who) + ": size mismatch");
 }
 
+// angle_between with both norms supplied; the one expression every float
+// angle goes through, so precomputed norms give the same bits.
+double angle_with_norms(std::span<const float> a, std::span<const float> b,
+                        double na, double nb) {
+  if (na <= 0.0 || nb <= 0.0) return std::acos(0.0);
+  return std::acos(std::clamp(dot(a, b) / (na * nb), -1.0, 1.0));
+}
+
 }  // namespace
 
 double dot(std::span<const float> a, std::span<const float> b) {
@@ -51,7 +59,7 @@ double cosine_similarity(std::span<const float> a, std::span<const float> b) {
 }
 
 double angle_between(std::span<const float> a, std::span<const float> b) {
-  return std::acos(cosine_similarity(a, b));
+  return angle_with_norms(a, b, l2_norm(a), l2_norm(b));
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
@@ -153,9 +161,13 @@ std::vector<double> pairwise_angles(
   std::vector<double> out;
   if (vectors.size() < 2) return out;
   out.reserve(vectors.size() * (vectors.size() - 1) / 2);
+  std::vector<double> norms;
+  norms.reserve(vectors.size());
+  for (const auto& v : vectors) norms.push_back(l2_norm(v));
   for (std::size_t i = 0; i + 1 < vectors.size(); ++i) {
     for (std::size_t j = i + 1; j < vectors.size(); ++j) {
-      out.push_back(angle_between(vectors[i], vectors[j]));
+      out.push_back(
+          angle_with_norms(vectors[i], vectors[j], norms[i], norms[j]));
     }
   }
   return out;
@@ -166,8 +178,9 @@ std::vector<double> angles_to_reference(
     std::span<const float> reference) {
   std::vector<double> out;
   out.reserve(vectors.size());
+  const double nr = l2_norm(reference);
   for (const auto& v : vectors) {
-    out.push_back(angle_between(v, reference));
+    out.push_back(angle_with_norms(v, reference, l2_norm(v), nr));
   }
   return out;
 }

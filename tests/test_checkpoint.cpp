@@ -7,7 +7,10 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -70,6 +73,108 @@ TEST(StateBuffer, ThrowsOnTruncatedBlob) {
   bytes.resize(bytes.size() / 2);
   fl::StateReader r(bytes);
   EXPECT_THROW(r.read_floats(), std::runtime_error);
+}
+
+// The byte-at-a-time writer loops the bulk-copy codec replaced, kept as
+// the oracle for the documented little-endian format.
+void oracle_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+void oracle_floats(std::vector<std::uint8_t>& out,
+                   std::span<const float> v) {
+  oracle_u64(out, v.size());
+  for (float x : v) {
+    const auto bits = std::bit_cast<std::uint32_t>(x);
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+  }
+}
+
+// Floats whose bits a lossy path would disturb: NaN payloads of both
+// signs, quiet and signalling, ±0, subnormals, ±inf and the extremes.
+tensor::FlatVec edge_floats(std::size_t n) {
+  const std::uint32_t patterns[] = {
+      0x7fc12345u, 0xffc00001u, 0x7f800001u, 0xff812345u, 0x00000000u,
+      0x80000000u, 0x00000001u, 0x807fffffu, 0x7f800000u, 0xff800000u,
+      0x7f7fffffu, 0x3fc00000u, 0xc0500000u};
+  tensor::FlatVec v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = std::bit_cast<float>(patterns[i % std::size(patterns)] ^
+                                static_cast<std::uint32_t>(i >> 4));
+  }
+  return v;
+}
+
+TEST(StateBuffer, BulkWriterMatchesTheByteLoopOracleAndReadsBackBits) {
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                        std::size_t{8}, std::size_t{9}, std::size_t{2178}}) {
+    SCOPED_TRACE(n);
+    const tensor::FlatVec floats = edge_floats(n);
+    const std::uint64_t word = 0x0123456789abcdefULL ^ n;
+    const double dbl = std::bit_cast<double>(0xfff8000000000001ULL ^ n);
+
+    fl::StateWriter w;
+    w.write_u64(word);
+    w.write_double(dbl);
+    w.write_floats(floats);
+    std::vector<std::uint8_t> expected;
+    oracle_u64(expected, word);
+    oracle_u64(expected, std::bit_cast<std::uint64_t>(dbl));
+    oracle_floats(expected, floats);
+    ASSERT_EQ(w.bytes(), expected);
+
+    fl::StateReader r(w.bytes());
+    EXPECT_EQ(r.read_u64(), word);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.read_double()),
+              std::bit_cast<std::uint64_t>(dbl));
+    const tensor::FlatVec back = r.read_floats();
+    ASSERT_EQ(back.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+                std::bit_cast<std::uint32_t>(floats[i]))
+          << "element " << i;
+    }
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
+// A forged length prefix must not wrap the reader's bounds arithmetic:
+// 4n for n >= 2^62 and pos + n for n near 2^64 both overflow a naive
+// `pos + len > size` test.
+TEST(StateBuffer, ForgedLengthsNearTheWordLimitThrowTruncation) {
+  const auto blob = [](std::uint64_t forged_len) {
+    fl::StateWriter w;
+    w.write_u64(forged_len);
+    w.write_u64(0);  // 8 bytes of body, far fewer than claimed
+    return w.take();
+  };
+  const auto expect_truncation = [](auto read, const std::string& what) {
+    try {
+      read();
+      FAIL() << what << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t two62 = std::uint64_t{1} << 62;
+  for (std::uint64_t n : {two62, two62 + 1, 3 * two62 + 2, max}) {
+    const auto bytes = blob(n);
+    fl::StateReader r(bytes);
+    expect_truncation([&r] { r.read_floats(); },
+                      "float count " + std::to_string(n));
+  }
+  for (std::uint64_t n : {max, max - 7, max - 8}) {
+    const auto bytes = blob(n);
+    fl::StateReader r(bytes);
+    expect_truncation([&r] { r.read_bytes(); },
+                      "byte count " + std::to_string(n));
+  }
 }
 
 TEST(CheckpointFile, RoundTripsAndValidates) {

@@ -24,6 +24,8 @@
 #include "agg/shard_faults.h"
 #include "agg/sharded_aggregator.h"
 #include "defense/registry.h"
+#include "fl/state.h"
+#include "net/envelope.h"
 #include "runtime/thread_pool.h"
 #include "sim/chaos.h"
 #include "sim/checkpoint.h"
@@ -429,6 +431,54 @@ TEST(InfraCheckpointDurability, BitFlipsAtEvery64thByteFailLoudly) {
       }
     }
   }
+}
+
+// v8 changed the payload digest; a v7 image must be refused by its
+// version field, never parsed under the new digest.
+TEST(InfraCheckpointImage, Version7ImageIsRefused) {
+  auto image = sim::encode_checkpoint(sample_checkpoint());
+  const std::uint64_t v7 = 7;
+  std::memcpy(image.data() + 8, &v7, sizeof(v7));  // header: magic, version
+  try {
+    sim::decode_checkpoint(image, "old.bin");
+    FAIL() << "a v7 image was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The single-buffer encode lays out exactly header + payload, as a
+// separate payload writer would, in one allocation of the exact size.
+TEST(InfraCheckpointImage, EncodeIsHeaderThenPayloadInOneExactBuffer) {
+  const sim::Checkpoint ck = sample_checkpoint();
+  fl::StateWriter payload;
+  payload.write_u64(ck.fingerprint);
+  payload.write_u64(ck.net_fingerprint);
+  payload.write_u64(ck.engine_fingerprint);
+  payload.write_u64(ck.scale_fingerprint);
+  payload.write_u64(ck.codec_fingerprint);
+  payload.write_size(ck.rounds_completed);
+  for (std::uint64_t s : ck.run_rng.s) payload.write_u64(s);
+  payload.write_double(ck.run_rng.cached_normal);
+  payload.write_bool(ck.run_rng.has_cached_normal);
+  payload.write_floats(ck.trojaned_model);
+  payload.write_bytes(ck.fault_state);
+  payload.write_bytes(ck.net_state);
+  payload.write_bytes(ck.algo_state);
+  fl::StateWriter header;
+  header.write_u64(0x434f4c4c41504b54ULL);  // "COLLAPKT"
+  header.write_u64(8);
+  header.write_size(payload.bytes().size());
+  header.write_u64(net::payload_checksum(payload.bytes()));
+  std::vector<std::uint8_t> expected = header.take();
+  expected.insert(expected.end(), payload.bytes().begin(),
+                  payload.bytes().end());
+
+  const auto image = sim::encode_checkpoint(ck);
+  EXPECT_EQ(image, expected);
+  EXPECT_EQ(image.capacity(), image.size());
 }
 
 TEST(InfraCheckpointDurability, SaveIsAtomicAndLoadRoundTrips) {

@@ -20,6 +20,7 @@
 #include "net/network_model.h"
 #include "sim/checkpoint.h"
 #include "sim/runner.h"
+#include "stats/rng.h"
 
 namespace collapois {
 namespace {
@@ -95,6 +96,77 @@ TEST(NetEnvelope, ChecksumCatchesTruncation) {
     EXPECT_FALSE(net::decode_update(damaged).has_value())
         << "truncation to " << len << " bytes went undetected";
   }
+}
+
+// The checksum's definition, written from the spec with explicit
+// little-endian word assembly (no host-order loads).
+std::uint64_t reference_checksum(std::span<const std::uint8_t> p) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= p.size(); i += 8) {
+    std::uint64_t w = 0;
+    for (int b = 0; b < 8; ++b) {
+      w |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
+    }
+    h = (h ^ w) * kPrime;
+  }
+  for (; i < p.size(); ++i) h = (h ^ p[i]) * kPrime;
+  return (h ^ p.size()) * kPrime;
+}
+
+// Every single-bit flip and every proper prefix of `payload` must move
+// the digest (flips always do by construction: each FNV-1a step is a
+// bijection of the running state).
+void expect_flips_and_prefixes_detected(std::vector<std::uint8_t> payload) {
+  const std::uint64_t base = net::payload_checksum(payload);
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      payload[at] ^= static_cast<std::uint8_t>(1u << bit);
+      const bool changed = net::payload_checksum(payload) != base;
+      payload[at] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_TRUE(changed) << "flip of bit " << bit << " at byte " << at;
+    }
+  }
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    ASSERT_NE(net::payload_checksum(
+                  std::span<const std::uint8_t>(payload.data(), len)),
+              base)
+        << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(NetChecksum, MatchesTheWordWiseDefinition) {
+  std::vector<std::uint8_t> p;
+  for (std::size_t len = 0; len <= 33; ++len) {
+    EXPECT_EQ(net::payload_checksum(p), reference_checksum(p)) << len;
+    p.push_back(static_cast<std::uint8_t>(len * 37 + 11));
+  }
+}
+
+TEST(NetChecksum, EveryBitFlipAndPrefixChangesShortDigests) {
+  for (std::size_t len = 0; len <= 33; ++len) {
+    SCOPED_TRACE(len);
+    std::vector<std::uint8_t> p(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      p[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    expect_flips_and_prefixes_detected(p);
+    // All-zero payloads: only the length term separates the prefixes.
+    expect_flips_and_prefixes_detected(std::vector<std::uint8_t>(len, 0));
+  }
+}
+
+TEST(NetChecksum, EveryBitFlipAndPrefixChangesARealEnvelopeDigest) {
+  ClientUpdate u = sample_update();
+  stats::Rng rng(11);
+  u.delta.resize(2178);  // a sentiment-MLP-sized update, ~8.7 KB on the wire
+  for (std::size_t i = 5; i < u.delta.size(); ++i) {
+    u.delta[i] = static_cast<float>(rng.normal(0.0, 0.01));
+  }
+  const net::Envelope env = net::encode_update(u, 3);
+  ASSERT_EQ(env.checksum, net::payload_checksum(env.payload));
+  expect_flips_and_prefixes_detected(env.payload);
 }
 
 // --- network model ------------------------------------------------------

@@ -2,10 +2,13 @@
 // and Figs. 3/6.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "stats/geometry.h"
+#include "stats/rng.h"
 
 namespace collapois::stats {
 namespace {
@@ -76,6 +79,47 @@ TEST(Geometry, PairwiseAnglesCountAndValues) {
 TEST(Geometry, PairwiseAnglesDegenerate) {
   EXPECT_TRUE(pairwise_angles({}).empty());
   EXPECT_TRUE(pairwise_angles({{1.0f}}).empty());
+}
+
+// pairwise_angles computes each norm once; every angle must still equal
+// the per-pair definition acos(cosine_similarity) — which angle_between
+// must match too — bit for bit, zero vectors (angle pi/2) and a
+// NaN-carrying vector included.
+TEST(Geometry, PairwiseAnglesMatchPerPairAngleBetweenBitForBit) {
+  const auto oracle = [](std::span<const float> a, std::span<const float> b) {
+    return std::bit_cast<std::uint64_t>(std::acos(cosine_similarity(a, b)));
+  };
+  Rng rng(2025);
+  for (std::size_t n = 2; n <= 40; ++n) {
+    SCOPED_TRACE(n);
+    const std::size_t d = 1 + n % 9;
+    std::vector<std::vector<float>> vs(n, std::vector<float>(d, 0.0f));
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 5 == 3) continue;  // an all-zero vector
+      for (float& x : vs[i]) x = static_cast<float>(rng.normal());
+    }
+    if (n % 13 == 0) vs[n / 2][0] = std::numeric_limits<float>::quiet_NaN();
+    // Two parallel vectors: the clamp edge at cos = 1.
+    vs[n - 1] = vs[0];
+
+    const auto got = pairwise_angles(vs);
+    ASSERT_EQ(got.size(), n * (n - 1) / 2);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j, ++k) {
+        const std::uint64_t want = oracle(vs[i], vs[j]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]), want)
+            << "pair " << i << "," << j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(angle_between(vs[i], vs[j])),
+                  want);
+      }
+    }
+    const auto to_ref = angles_to_reference(vs, vs[1]);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(to_ref[i]),
+                oracle(vs[i], vs[1]));
+    }
+  }
 }
 
 TEST(Geometry, AnglesToReference) {
