@@ -1,10 +1,6 @@
-// Shared scaffolding for the figure-reproduction benches.
-//
-// Every bench binary follows the same pattern: register one
-// google-benchmark case per series point of the paper figure, run the
-// experiment inside the benchmark body (a single iteration — the measured
-// quantity is the full federated campaign), expose Benign AC / Attack SR
-// as counters, and print a paper-style series table at exit.
+// Shared scaffolding for the benches: the bench-sized base experiment,
+// the paper's compromised-fraction levels, and the google-benchmark
+// counters the campaign benches report.
 //
 // COLLAPOIS_SCALE=k (k = 1, 2, 3, ...) multiplies clients and rounds for
 // higher-fidelity runs; defaults are sized for a 1-core CI box.
@@ -13,12 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <iostream>
-#include <mutex>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "sim/report.h"
 #include "sim/runner.h"
 
 namespace collapois::bench {
@@ -51,25 +44,6 @@ inline double paper_fraction(const std::string& label) {
   if (label == "1%") return 0.05;
   throw std::invalid_argument("paper_fraction: unknown level " + label);
 }
-
-// Collected series rows printed as the figure table at exit.
-class SeriesTable {
- public:
-  explicit SeriesTable(std::string title) : title_(std::move(title)) {}
-  ~SeriesTable() {
-    if (!rows_.empty()) sim::print_series(std::cout, title_, rows_);
-  }
-
-  void add(const std::string& label, double benign_ac, double attack_sr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    rows_.push_back({label, benign_ac, attack_sr});
-  }
-
- private:
-  std::string title_;
-  std::mutex mu_;
-  std::vector<sim::SeriesRow> rows_;
-};
 
 inline void report_counters(benchmark::State& state,
                             const sim::ExperimentResult& result) {

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "sim/report.h"
 
 namespace {
 

@@ -42,7 +42,7 @@ struct CollaPoisConfig {
   //    *angle* statistics sit inside the benign population;
   //  - mimic_benign_norm: rescale the transmitted update to ||g_clean||,
   //    so its *magnitude* is drawn from the benign norm distribution.
-  // Stealth trades off pull strength (see bench_ablation_design).
+  // Stealth trades off pull strength (see `bench_claims ablation`).
   double blend_fraction = 0.0;
   bool mimic_benign_norm = false;
 };

@@ -220,6 +220,14 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ck) {
   return out;
 }
 
+CheckpointVersionError::CheckpointVersionError(const std::string& context,
+                                               std::uint64_t found,
+                                               std::uint64_t supported)
+    : std::runtime_error("decode_checkpoint: unsupported version " +
+                         std::to_string(found) + " in " + context +
+                         " (this build reads version " +
+                         std::to_string(supported) + ")") {}
+
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes,
                              const std::string& context) {
   // Header verification first; no payload field is parsed until the
@@ -232,9 +240,8 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes,
   if (header.read_u64() != kMagic) {
     throw std::runtime_error("decode_checkpoint: bad magic in " + context);
   }
-  if (header.read_u64() != kVersion) {
-    throw std::runtime_error("decode_checkpoint: unsupported version in " +
-                             context);
+  if (const std::uint64_t version = header.read_u64(); version != kVersion) {
+    throw CheckpointVersionError(context, version, kVersion);
   }
   const std::size_t payload_size = header.read_size();
   const std::uint64_t digest = header.read_u64();

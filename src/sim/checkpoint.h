@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,17 @@ std::uint64_t scale_fingerprint(const ExperimentConfig& config);
 // to the same fingerprint. The SIMD dispatch tier is excluded — codec
 // tiers are bit-identical, so checkpoints are tier-portable.
 std::uint64_t codec_fingerprint(const net::CodecConfig& config);
+
+// Thrown by decode_checkpoint when the image's format version is not the
+// one this build reads. A version mismatch is not damage: the file is
+// intact but was written by another build, so CheckpointStore does not
+// fall back past it to an older generation. The message names the file
+// (`context`) and both versions.
+class CheckpointVersionError : public std::runtime_error {
+ public:
+  CheckpointVersionError(const std::string& context, std::uint64_t found,
+                         std::uint64_t supported);
+};
 
 // Serializes the checkpoint into the on-disk image: a fixed header
 // (magic, version 8, payload size, word-wise FNV-1a payload digest —

@@ -84,6 +84,8 @@ CheckpointStore::Recovery CheckpointStore::load_newest() const {
       r.path = path;
       r.discarded = discarded;
       return r;
+    } catch (const CheckpointVersionError&) {
+      throw;  // written by another build, not damaged: never rewind past it
     } catch (const std::exception& e) {
       ++discarded;
       errors += std::string("\n  ") + path + ": " + e.what();

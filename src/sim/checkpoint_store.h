@@ -17,6 +17,8 @@
 //
 // Failure is loud: when no slot is intact, load_newest throws one
 // std::runtime_error naming every file tried and why each was rejected.
+// A slot written in another checkpoint format version is not damage: its
+// CheckpointVersionError stops the walk instead of rewinding past it.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +65,8 @@ class CheckpointStore {
   // cleanly. Missing slots are skipped silently (a short chain is
   // normal); existing-but-damaged slots are counted in `discarded`.
   // Throws std::runtime_error listing every rejected file and its
-  // reason when no slot survives.
+  // reason when no slot survives, and rethrows the CheckpointVersionError
+  // of the first slot written in an unsupported format version.
   Recovery load_newest() const;
 
  private:

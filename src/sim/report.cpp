@@ -69,21 +69,10 @@ void write_series_csv(std::ostream& os, const std::vector<SeriesRow>& rows) {
   }
 }
 
-namespace {
-
-// JSON has no NaN/Infinity literal; a diverged metric (e.g. dist_to_x
-// after the trajectory blew up under a lossy codec) must serialize as
-// null, not as the "-nan" that ostream would print — which breaks every
-// downstream json.load.
-struct JsonNum {
-  double v;
-};
 std::ostream& operator<<(std::ostream& os, JsonNum n) {
   if (std::isfinite(n.v)) return os << n.v;
   return os << "null";
 }
-
-}  // namespace
 
 void write_rounds_json(std::ostream& os, const ExperimentConfig& config,
                        const std::vector<RoundRecord>& rounds) {

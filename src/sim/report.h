@@ -45,6 +45,15 @@ void write_series_csv(std::ostream& os, const std::vector<SeriesRow>& rows);
 void write_rounds_json(std::ostream& os, const ExperimentConfig& config,
                        const std::vector<RoundRecord>& rounds);
 
+// A double streamed as a JSON number. JSON has no NaN/Infinity literal;
+// a diverged metric (e.g. dist_to_x after the trajectory blew up under a
+// lossy codec) must serialize as null, not as the "-nan" that ostream
+// would print — which breaks every downstream json.load.
+struct JsonNum {
+  double v;
+};
+std::ostream& operator<<(std::ostream& os, JsonNum n);
+
 // Short "dataset/algorithm/attack/defense alpha=..." experiment tag used
 // as a row label.
 std::string experiment_tag(const ExperimentConfig& config);

@@ -572,6 +572,50 @@ TEST(InfraCheckpointStore, AllDamagedThrowsNamingEveryFile) {
   }
 }
 
+// Rewrites the format-version field (header: magic, version) of a file.
+void set_file_version(const std::string& path, std::uint64_t version) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+}
+
+// A head written in another format version is not damage: the walk stops
+// with the version error instead of silently rewinding to an intact .1.
+TEST(InfraCheckpointStore, VersionMismatchHeadStopsTheWalk) {
+  TempChain chain("infra_store_version.bin");
+  sim::CheckpointStore store(chain.path(), 3);
+  sim::Checkpoint ck = sample_checkpoint();
+  ck.rounds_completed = 1;
+  store.save(ck);
+  ck.rounds_completed = 2;
+  store.save(ck);
+  set_file_version(store.slot_path(0), 7);
+  try {
+    const auto r = store.load_newest();
+    FAIL() << "resumed from " << r.path << " past a version-7 head";
+  } catch (const sim::CheckpointVersionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(store.slot_path(0)), std::string::npos) << what;
+    EXPECT_NE(what.find("version 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 8"), std::string::npos) << what;
+  }
+}
+
+TEST(InfraCheckpointStore, LoneVersionMismatchIsNotReportedAsDamage) {
+  TempChain chain("infra_store_version_lone.bin");
+  sim::CheckpointStore store(chain.path(), 3);
+  store.save(sample_checkpoint());
+  set_file_version(store.slot_path(0), 7);
+  try {
+    store.load_newest();
+    FAIL() << "a version-7 head was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported version"), std::string::npos) << what;
+    EXPECT_EQ(what.find("damaged"), std::string::npos) << what;
+  }
+}
+
 TEST(InfraCheckpointStore, MissingChainThrows) {
   TempChain chain("infra_store_missing.bin");
   sim::CheckpointStore store(chain.path(), 3);
