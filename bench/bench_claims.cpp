@@ -4,10 +4,12 @@
 //   ./build/bench/bench_claims               # every figure
 //   ./build/bench/bench_claims fig08 fig09   # only these figures
 //
-// Each point runs its campaign once. The runner prints one series table
-// per figure and the verdict of every claim of the selected figures,
-// writes BENCH_claims.json (points, verdicts, ISA tier, core count), and
-// exits 1 if any claim fails (2 on an unknown figure id or a run error).
+// Each campaign runs once: a point that several figures list (an alias,
+// see Point) reuses its run for every listing. The runner prints one
+// series table per figure and the verdict of every claim of the selected
+// figures, writes BENCH_claims.json (points, verdicts, ISA tier, core
+// count), and exits 1 if any claim fails (2 on an unknown figure id or a
+// run error).
 // COLLAPOIS_SCALE=k multiplies clients and rounds (bench_common.h).
 //
 // Figure ids: fig01 fig03 fig06 fig08 fig09 fig10 fig12 fig15 fig16 fig25
@@ -124,7 +126,15 @@ struct Point {
   std::string id;  // "<figure>/<label>", unique
   sim::ExperimentConfig cfg;
   std::vector<Extract> extracts;
+  // Rows of other figures that are this same campaign ("<figure>/<label>"
+  // ids). They report benign_ac and attack_sr from this point's run, so
+  // the campaign runs once however many figures list it.
+  std::vector<std::string> aliases;
 };
+
+std::string figure_of(const std::string& id) {
+  return id.substr(0, id.find('/'));
+}
 
 constexpr double kAlphas[] = {0.01, 1.0, 100.0};
 
@@ -345,11 +355,15 @@ std::vector<Point> build_points() {
 
   // Ablation of DESIGN.md §4's knobs around the default CollaPois config
   // (psi U[0.9,1], strike at round 20, tau 0, clip off), which is the one
-  // baseline point of all four sweeps.
+  // baseline point of all four sweeps. That baseline is Fig. 12's FEMNIST
+  // campaign, so it is listed as an alias of that point.
   const sim::ExperimentConfig base =
       campaign(femnist, AttackKind::collapois, 0.1, "1%");
-  add("ablation", "baseline (psi U[0.9,1], strike 20, tau 0, clip off)",
-      base);
+  const auto fig12 = std::find_if(pts.begin(), pts.end(), [](const Point& p) {
+    return p.id == "fig12/femnist";
+  });
+  fig12->aliases.push_back(
+      "ablation/baseline (psi U[0.9,1], strike 20, tau 0, clip off)");
   for (auto [a, b] : {std::pair{0.5, 0.6}, std::pair{0.95, 0.99}}) {
     sim::ExperimentConfig cfg = base;
     cfg.collapois.psi_a = a;
@@ -584,20 +598,39 @@ Values measure(const Point& p) {
 
 // ------------------------------------------------------------- reports
 
-std::string label_of(const Point& p) {
-  return p.id.substr(p.figure.size() + 1);
+// One row of a figure's table: a point id and the values it reports.
+struct Row {
+  std::string figure;
+  std::string id;
+  Values values;
+  double seconds = 0.0;     // of its run; 0 for an alias
+  std::string same_run_as;  // the point whose run an alias reuses
+};
+
+// The point's own row, then one per alias (benign_ac and attack_sr,
+// which measure() reports first).
+std::vector<Row> rows_of(const Measured& m) {
+  std::vector<Row> rows = {
+      {m.point->figure, m.point->id, m.values, m.seconds, ""}};
+  for (const std::string& alias : m.point->aliases) {
+    rows.push_back({figure_of(alias), alias,
+                    Values(m.values.begin(), m.values.begin() + 2), 0.0,
+                    m.point->id});
+  }
+  return rows;
 }
 
+std::string label_of(const Row& r) { return r.id.substr(r.figure.size() + 1); }
+
 // Mean and sample standard deviation over the seeds of each dataset.
-void print_seed_spread(std::ostream& os,
-                       const std::vector<const Measured*>& rows) {
+void print_seed_spread(std::ostream& os, const std::vector<const Row*>& rows) {
   struct Spread {
     std::string dataset;
     stats::RunningStats ac, sr;
   };
   std::vector<Spread> spreads;
-  for (const Measured* m : rows) {
-    const std::string label = label_of(*m->point);
+  for (const Row* m : rows) {
+    const std::string label = label_of(*m);
     const std::string dataset = label.substr(0, label.rfind('/'));
     if (spreads.empty() || spreads.back().dataset != dataset) {
       spreads.push_back({dataset, {}, {}});
@@ -619,11 +652,11 @@ void print_seed_spread(std::ostream& os,
 }
 
 void print_table(std::ostream& os, const Figure& fig,
-                 const std::vector<const Measured*>& rows) {
+                 const std::vector<const Row*>& rows) {
   std::vector<std::string> cols;
   std::size_t label_w = 6;
-  for (const Measured* m : rows) {
-    label_w = std::max(label_w, label_of(*m->point).size());
+  for (const Row* m : rows) {
+    label_w = std::max(label_w, label_of(*m).size());
     for (const auto& [name, value] : m->values) {
       if (std::find(cols.begin(), cols.end(), name) == cols.end()) {
         cols.push_back(name);
@@ -638,9 +671,9 @@ void print_table(std::ostream& os, const Figure& fig,
        << c;
   }
   os << "\n";
-  for (const Measured* m : rows) {
+  for (const Row* m : rows) {
     os << std::left << std::setw(static_cast<int>(label_w + 2))
-       << label_of(*m->point) << std::right << std::fixed
+       << label_of(*m) << std::right << std::fixed
        << std::setprecision(4);
     for (const auto& c : cols) {
       const auto it =
@@ -675,7 +708,7 @@ void write_operand_json(std::ostream& os, const bench::Operand& op) {
 
 void write_json(const std::string& path,
                 const std::vector<std::string>& selected,
-                const std::vector<Measured>& measured,
+                const std::vector<Row>& rows,
                 const std::vector<Claim>& claims,
                 const std::vector<bench::Verdict>& verdicts,
                 double total_seconds) {
@@ -691,11 +724,15 @@ void write_json(const std::string& path,
     os << (i ? ", " : "") << "\"" << selected[i] << "\"";
   }
   os << "],\n \"points\": [";
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    const Measured& m = measured[i];
-    os << (i ? ",\n  " : "\n  ") << "{\"id\": \"" << m.point->id
-       << "\", \"figure\": \"" << m.point->figure
-       << "\", \"seconds\": " << sim::JsonNum{m.seconds} << ", \"metrics\": {";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& m = rows[i];
+    os << (i ? ",\n  " : "\n  ") << "{\"id\": \"" << m.id
+       << "\", \"figure\": \"" << m.figure
+       << "\", \"seconds\": " << sim::JsonNum{m.seconds};
+    if (!m.same_run_as.empty()) {
+      os << ", \"same_run_as\": \"" << m.same_run_as << "\"";
+    }
+    os << ", \"metrics\": {";
     for (std::size_t j = 0; j < m.values.size(); ++j) {
       os << (j ? ", " : "") << "\"" << m.values[j].first
          << "\": " << sim::JsonNum{m.values[j].second};
@@ -748,7 +785,10 @@ int run(const std::vector<std::string>& args) {
   // A claim naming a point outside the table is a bug in the tables, not
   // a failed claim.
   std::set<std::string> ids;
-  for (const Point& p : points) ids.insert(p.id);
+  for (const Point& p : points) {
+    ids.insert(p.id);
+    ids.insert(p.aliases.begin(), p.aliases.end());
+  }
   for (const Claim& c : all_claims) {
     for (const bench::Operand* op : {&c.lhs, &c.rhs}) {
       if (!op->point.empty() && !ids.count(op->point)) {
@@ -761,7 +801,13 @@ int run(const std::vector<std::string>& args) {
   const auto start = Clock::now();
   std::vector<Measured> measured;
   for (const Point& p : points) {
-    if (!is_selected(p.figure)) continue;
+    if (!is_selected(p.figure) &&
+        std::none_of(p.aliases.begin(), p.aliases.end(),
+                     [&](const std::string& a) {
+                       return is_selected(figure_of(a));
+                     })) {
+      continue;
+    }
     const auto t0 = Clock::now();
     Values v = measure(p);
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -774,16 +820,22 @@ int run(const std::vector<std::string>& args) {
       std::chrono::duration<double>(Clock::now() - start).count();
   std::cout << "\n";
 
+  std::vector<Row> rows;
+  for (const Measured& m : measured) {
+    for (Row& r : rows_of(m)) {
+      if (is_selected(r.figure)) rows.push_back(std::move(r));
+    }
+  }
   bench::PointValues values;
   for (const Figure& f : figures()) {
     if (!is_selected(f.id)) continue;
-    std::vector<const Measured*> rows;
-    for (const Measured& m : measured) {
-      if (m.point->figure != f.id) continue;
-      rows.push_back(&m);
-      for (const auto& [name, value] : m.values) values[m.point->id][name] = value;
+    std::vector<const Row*> table;
+    for (const Row& r : rows) {
+      if (r.figure != f.id) continue;
+      table.push_back(&r);
+      for (const auto& [name, value] : r.values) values[r.id][name] = value;
     }
-    print_table(std::cout, f, rows);
+    print_table(std::cout, f, table);
   }
 
   std::vector<Claim> claims;
@@ -815,11 +867,12 @@ int run(const std::vector<std::string>& args) {
       std::count_if(verdicts.begin(), verdicts.end(),
                     [](const bench::Verdict& v) { return !v.pass; }));
   std::cout << claims.size() - failed << "/" << claims.size()
-            << " claims hold; " << measured.size() << " points in "
-            << std::fixed << std::setprecision(1) << total << " s ("
+            << " claims hold; " << rows.size() << " points ("
+            << measured.size() << " runs) in " << std::fixed
+            << std::setprecision(1) << total << " s ("
             << kernels::isa_tier_name(kernels::dispatch_info().tier) << ", "
             << std::thread::hardware_concurrency() << " cores)\n";
-  write_json("BENCH_claims.json", selected, measured, claims, verdicts, total);
+  write_json("BENCH_claims.json", selected, rows, claims, verdicts, total);
   return status;
 }
 

@@ -22,7 +22,7 @@ struct DbaConfig {
 std::unique_ptr<fl::Client> make_dba_client(
     std::size_t id, const data::Dataset& clean_train,
     const std::vector<trojan::PatchTrigger>& parts, std::size_t part_index,
-    const DbaConfig& config, nn::Model model, nn::SgdConfig sgd,
-    double distill_weight, stats::Rng rng);
+    const DbaConfig& config, const nn::Model& architecture,
+    nn::SgdConfig sgd, double distill_weight, stats::Rng rng);
 
 }  // namespace collapois::attacks

@@ -20,7 +20,8 @@ struct DPoisConfig {
 // Build a DPois compromised client from its clean local training data.
 std::unique_ptr<fl::Client> make_dpois_client(
     std::size_t id, const data::Dataset& clean_train,
-    const trojan::Trigger& trigger, const DPoisConfig& config, nn::Model model,
-    nn::SgdConfig sgd, double distill_weight, stats::Rng rng);
+    const trojan::Trigger& trigger, const DPoisConfig& config,
+    const nn::Model& architecture, nn::SgdConfig sgd, double distill_weight,
+    stats::Rng rng);
 
 }  // namespace collapois::attacks

@@ -6,12 +6,13 @@ namespace collapois::attacks {
 
 PoisonTrainingClient::PoisonTrainingClient(std::size_t id,
                                            data::Dataset training_data,
-                                           nn::Model model, nn::SgdConfig sgd,
+                                           const nn::Model& architecture,
+                                           nn::SgdConfig sgd,
                                            double distill_weight,
                                            stats::Rng rng)
     : id_(id),
       data_(std::move(training_data)),
-      model_(std::move(model)),
+      arch_(architecture),
       sgd_(sgd),
       distill_weight_(distill_weight),
       rng_(std::move(rng)) {
@@ -22,11 +23,12 @@ PoisonTrainingClient::PoisonTrainingClient(std::size_t id,
 
 fl::ClientUpdate PoisonTrainingClient::compute_update(
     const fl::RoundContext& ctx) {
-  model_.set_parameters(ctx.global);
-  nn::train_sgd(model_, data_, sgd_, rng_);
+  nn::ScratchModel model(arch_);
+  model->set_parameters(ctx.global);
+  nn::train_sgd(*model, data_, sgd_, rng_);
   fl::ClientUpdate u;
   u.client_id = id_;
-  u.delta = tensor::sub(ctx.global, model_.get_parameters());
+  u.delta = tensor::sub(ctx.global, model->get_parameters());
   u.weight = 1.0;
   return u;
 }

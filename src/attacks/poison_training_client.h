@@ -13,7 +13,7 @@ namespace collapois::attacks {
 class PoisonTrainingClient : public fl::Client {
  public:
   PoisonTrainingClient(std::size_t id, data::Dataset training_data,
-                       nn::Model model, nn::SgdConfig sgd,
+                       const nn::Model& architecture, nn::SgdConfig sgd,
                        double distill_weight, stats::Rng rng);
 
   std::size_t id() const override { return id_; }
@@ -26,7 +26,7 @@ class PoisonTrainingClient : public fl::Client {
  private:
   std::size_t id_;
   data::Dataset data_;
-  nn::Model model_;
+  nn::Architecture arch_;
   nn::SgdConfig sgd_;
   double distill_weight_;
   stats::Rng rng_;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "nn/scratch.h"
 #include "stats/geometry.h"
 #include "stats/summary.h"
 
@@ -18,12 +19,12 @@ std::vector<tensor::FlatVec> sample_background_gradients(
   }
   std::vector<tensor::FlatVec> out;
   out.reserve(clean_datasets.size());
-  nn::Model scratch = architecture;
+  nn::ScratchModel scratch{nn::Architecture(architecture)};
   for (const data::Dataset* d : clean_datasets) {
     if (d == nullptr || d->empty()) continue;
-    scratch.set_parameters(global);
-    nn::train_sgd(scratch, *d, sgd, rng);
-    out.push_back(tensor::sub(global, scratch.get_parameters()));
+    scratch->set_parameters(global);
+    nn::train_sgd(*scratch, *d, sgd, rng);
+    out.push_back(tensor::sub(global, scratch->get_parameters()));
   }
   if (out.empty()) {
     throw std::invalid_argument(

@@ -5,29 +5,95 @@
 
 namespace collapois::data {
 
+namespace {
+
+std::size_t volume(const std::vector<std::size_t>& shape) {
+  std::size_t v = 1;
+  for (std::size_t d : shape) v *= d;
+  return v;
+}
+
+}  // namespace
+
+Dataset::Dataset(std::size_t num_classes,
+                 std::vector<std::size_t> sample_shape)
+    : num_classes_(num_classes),
+      shape_(std::move(sample_shape)),
+      row_size_(volume(shape_)) {}
+
+void Dataset::adopt_shape(const std::vector<std::size_t>& shape) {
+  if (shape_.empty()) {
+    shape_ = shape;
+    row_size_ = volume(shape_);
+  } else if (shape != shape_) {
+    throw std::invalid_argument("Dataset: example shape mismatch");
+  }
+}
+
+std::span<const float> Dataset::row(std::size_t i) const {
+  if (i >= size()) throw std::out_of_range("Dataset::row: index out of range");
+  return std::span<const float>(features_).subspan(i * row_size_, row_size_);
+}
+
+Example Dataset::example(std::size_t i) const {
+  const auto x = row(i);
+  return Example{Tensor(shape_, std::vector<float>(x.begin(), x.end())),
+                 labels_[i]};
+}
+
+void Dataset::add(const Example& e) {
+  adopt_shape(e.x.shape());
+  add_row(e.x.data(), e.label);
+}
+
+void Dataset::add_row(std::span<const float> x, int label) {
+  if (shape_.empty() || x.size() != row_size_) {
+    throw std::invalid_argument("Dataset::add_row: row size mismatch");
+  }
+  features_.insert(features_.end(), x.begin(), x.end());
+  labels_.push_back(label);
+}
+
+std::span<float> Dataset::emplace_row(int label) {
+  if (shape_.empty()) {
+    throw std::logic_error("Dataset::emplace_row: no sample shape");
+  }
+  features_.resize(features_.size() + row_size_, 0.0f);
+  labels_.push_back(label);
+  return std::span<float>(features_).last(row_size_);
+}
+
+void Dataset::reserve(std::size_t n) {
+  features_.reserve(n * row_size_);
+  labels_.reserve(n);
+}
+
 void Dataset::append(const Dataset& other) {
   if (num_classes_ == 0) num_classes_ = other.num_classes_;
   if (other.num_classes_ != num_classes_) {
     throw std::invalid_argument("Dataset::append: class count mismatch");
   }
-  examples_.insert(examples_.end(), other.examples_.begin(),
-                   other.examples_.end());
+  if (other.empty()) return;
+  adopt_shape(other.shape_);
+  features_.insert(features_.end(), other.features_.begin(),
+                   other.features_.end());
+  labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
 }
 
 Dataset Dataset::subset(std::span<const std::size_t> indices) const {
-  Dataset out(num_classes_);
+  Dataset out(num_classes_, shape_);
   out.reserve(indices.size());
-  for (std::size_t i : indices) out.add(examples_.at(i));
+  for (std::size_t i : indices) out.add_row(row(i), labels_[i]);
   return out;
 }
 
 std::vector<double> Dataset::label_histogram() const {
   std::vector<double> hist(num_classes_, 0.0);
-  for (const auto& e : examples_) {
-    if (e.label < 0 || static_cast<std::size_t>(e.label) >= num_classes_) {
+  for (int label : labels_) {
+    if (label < 0 || static_cast<std::size_t>(label) >= num_classes_) {
       throw std::logic_error("Dataset: label out of range");
     }
-    hist[static_cast<std::size_t>(e.label)] += 1.0;
+    hist[static_cast<std::size_t>(label)] += 1.0;
   }
   return hist;
 }
@@ -66,24 +132,21 @@ ClientSplit split_client_data(const Dataset& d, stats::Rng& rng,
 
 Batch make_batch(const Dataset& d, std::span<const std::size_t> indices) {
   if (indices.empty()) throw std::invalid_argument("make_batch: empty batch");
-  const auto& first = d[indices[0]].x;
   std::vector<std::size_t> shape;
+  shape.reserve(d.sample_shape().size() + 1);
   shape.push_back(indices.size());
-  for (std::size_t dim : first.shape()) shape.push_back(dim);
+  shape.insert(shape.end(), d.sample_shape().begin(), d.sample_shape().end());
 
+  std::vector<float> x;
+  x.reserve(indices.size() * d.row_size());
   Batch batch;
-  batch.x = Tensor(shape);
-  batch.labels.resize(indices.size());
-  const std::size_t stride = first.size();
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto& e = d[indices[i]];
-    if (e.x.size() != stride) {
-      throw std::invalid_argument("make_batch: heterogeneous example shapes");
-    }
-    std::copy(e.x.data().begin(), e.x.data().end(),
-              batch.x.data().begin() + static_cast<std::ptrdiff_t>(i * stride));
-    batch.labels[i] = e.label;
+  batch.labels.reserve(indices.size());
+  for (std::size_t i : indices) {
+    const auto r = d.row(i);
+    x.insert(x.end(), r.begin(), r.end());
+    batch.labels.push_back(d.label(i));
   }
+  batch.x = Tensor(std::move(shape), std::move(x));
   return batch;
 }
 

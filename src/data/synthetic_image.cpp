@@ -55,7 +55,8 @@ const Tensor& SyntheticImageGenerator::prototype(std::size_t label) const {
   return prototypes_.at(label);
 }
 
-Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
+void SyntheticImageGenerator::sample_into(std::span<float> x, int label,
+                                          stats::Rng& rng) const {
   if (label < 0 ||
       static_cast<std::size_t>(label) >= config_.num_classes) {
     throw std::invalid_argument("SyntheticImageGenerator: label out of range");
@@ -63,7 +64,6 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
   const auto& proto = prototypes_[static_cast<std::size_t>(label)];
   const std::size_t h = config_.height;
   const std::size_t w = config_.width;
-
   int dy = 0;
   int dx = 0;
   if (config_.max_shift > 0) {
@@ -73,14 +73,10 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
     dx = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(span))) -
          config_.max_shift;
   }
-
-  Example e;
-  e.label = label;
-  e.x = Tensor({1, h, w});
   for (std::size_t y = 0; y < h; ++y) {
-    for (std::size_t x = 0; x < w; ++x) {
+    for (std::size_t x0 = 0; x0 < w; ++x0) {
       const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y) + dy;
-      const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(x) + dx;
+      const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(x0) + dx;
       float v = 0.0f;
       if (sy >= 0 && sy < static_cast<std::ptrdiff_t>(h) && sx >= 0 &&
           sx < static_cast<std::ptrdiff_t>(w)) {
@@ -88,18 +84,15 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
                      static_cast<std::size_t>(sx));
       }
       v += static_cast<float>(rng.normal(0.0, config_.noise_std));
-      e.x.at(0, y, x) = std::clamp(v, 0.0f, 1.0f);
+      x[y * w + x0] = std::clamp(v, 0.0f, 1.0f);
     }
   }
-  return e;
 }
 
-Dataset SyntheticImageGenerator::generate_class(int label, std::size_t count,
-                                                stats::Rng& rng) const {
-  Dataset d(config_.num_classes);
-  d.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) d.add(sample(label, rng));
-  return d;
+Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
+  Example e{Tensor({1, config_.height, config_.width}), label};
+  sample_into(e.x.data(), label, rng);
+  return e;
 }
 
 Dataset SyntheticImageGenerator::generate(
@@ -108,10 +101,14 @@ Dataset SyntheticImageGenerator::generate(
     throw std::invalid_argument(
         "SyntheticImageGenerator::generate: counts size mismatch");
   }
-  Dataset d(config_.num_classes);
+  Dataset d(config_.num_classes, {1, config_.height, config_.width});
+  std::size_t total = 0;
+  for (std::size_t c : class_counts) total += c;
+  d.reserve(total);
   for (std::size_t cls = 0; cls < class_counts.size(); ++cls) {
+    const int label = static_cast<int>(cls);
     for (std::size_t i = 0; i < class_counts[cls]; ++i) {
-      d.add(sample(static_cast<int>(cls), rng));
+      sample_into(d.emplace_row(label), label, rng);
     }
   }
   return d;

@@ -32,26 +32,22 @@ const Tensor& SyntheticTextGenerator::class_mean(std::size_t label) const {
   return means_.at(label);
 }
 
-Example SyntheticTextGenerator::sample(int label, stats::Rng& rng) const {
+void SyntheticTextGenerator::sample_into(std::span<float> x, int label,
+                                         stats::Rng& rng) const {
   if (label < 0 ||
       static_cast<std::size_t>(label) >= config_.num_classes) {
     throw std::invalid_argument("SyntheticTextGenerator: label out of range");
   }
-  Example e;
-  e.label = label;
-  e.x = means_[static_cast<std::size_t>(label)];
-  for (auto& v : e.x.storage()) {
-    v = static_cast<float>(v + rng.normal(0.0, config_.noise_std));
+  const auto mean = means_[static_cast<std::size_t>(label)].data();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(mean[i] + rng.normal(0.0, config_.noise_std));
   }
-  return e;
 }
 
-Dataset SyntheticTextGenerator::generate_class(int label, std::size_t count,
-                                               stats::Rng& rng) const {
-  Dataset d(config_.num_classes);
-  d.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) d.add(sample(label, rng));
-  return d;
+Example SyntheticTextGenerator::sample(int label, stats::Rng& rng) const {
+  Example e{Tensor({config_.embedding_dim}), label};
+  sample_into(e.x.data(), label, rng);
+  return e;
 }
 
 Dataset SyntheticTextGenerator::generate(
@@ -60,10 +56,14 @@ Dataset SyntheticTextGenerator::generate(
     throw std::invalid_argument(
         "SyntheticTextGenerator::generate: counts size mismatch");
   }
-  Dataset d(config_.num_classes);
+  Dataset d(config_.num_classes, {config_.embedding_dim});
+  std::size_t total = 0;
+  for (std::size_t c : class_counts) total += c;
+  d.reserve(total);
   for (std::size_t cls = 0; cls < class_counts.size(); ++cls) {
+    const int label = static_cast<int>(cls);
     for (std::size_t i = 0; i < class_counts[cls]; ++i) {
-      d.add(sample(static_cast<int>(cls), rng));
+      sample_into(d.emplace_row(label), label, rng);
     }
   }
   return d;

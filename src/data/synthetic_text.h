@@ -36,12 +36,14 @@ class SyntheticTextGenerator {
   // One sample of the given class, shape [embedding_dim].
   Example sample(int label, stats::Rng& rng) const;
 
-  Dataset generate_class(int label, std::size_t count, stats::Rng& rng) const;
-
   Dataset generate(std::span<const std::size_t> class_counts,
                    stats::Rng& rng) const;
 
  private:
+  // The sample() draw, written in place into one row of a feature block
+  // (generate() fills its rows this way).
+  void sample_into(std::span<float> x, int label, stats::Rng& rng) const;
+
   SyntheticTextConfig config_;
   std::vector<Tensor> means_;
 };

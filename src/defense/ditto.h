@@ -25,9 +25,9 @@ struct DittoConfig {
 
 class DittoClient : public fl::BenignClient {
  public:
-  DittoClient(std::size_t id, const data::Dataset* train, nn::Model model,
-              nn::SgdConfig sgd, DittoConfig ditto, double distill_weight,
-              stats::Rng rng);
+  DittoClient(std::size_t id, const data::Dataset* train,
+              const nn::Model& architecture, nn::SgdConfig sgd,
+              DittoConfig ditto, double distill_weight, stats::Rng rng);
 
   tensor::FlatVec eval_params(std::span<const float> global) override;
 

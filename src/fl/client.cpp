@@ -5,11 +5,11 @@
 namespace collapois::fl {
 
 BenignClient::BenignClient(std::size_t id, const data::Dataset* train,
-                           nn::Model model, nn::SgdConfig sgd,
+                           const nn::Model& architecture, nn::SgdConfig sgd,
                            double distill_weight, stats::Rng rng)
     : id_(id),
       train_(train),
-      model_(std::move(model)),
+      arch_(architecture),
       sgd_(sgd),
       distill_weight_(distill_weight),
       rng_(rng) {
@@ -19,11 +19,12 @@ BenignClient::BenignClient(std::size_t id, const data::Dataset* train,
 }
 
 ClientUpdate BenignClient::compute_update(const RoundContext& ctx) {
-  model_.set_parameters(ctx.global);
-  nn::train_sgd(model_, *train_, sgd_, rng_);
+  nn::ScratchModel model(arch_);
+  model->set_parameters(ctx.global);
+  nn::train_sgd(*model, *train_, sgd_, rng_);
   ClientUpdate u;
   u.client_id = id_;
-  u.delta = tensor::sub(ctx.global, model_.get_parameters());
+  u.delta = tensor::sub(ctx.global, model->get_parameters());
   u.weight = 1.0;
   return u;
 }
@@ -44,15 +45,14 @@ void BenignClient::distill_round(nn::Model& personal, nn::Model& teacher) {
 }
 
 FedDcClient::FedDcClient(std::size_t id, const data::Dataset* train,
-                         nn::Model model, nn::SgdConfig sgd,
+                         const nn::Model& architecture, nn::SgdConfig sgd,
                          double drift_penalty, double distill_weight,
                          stats::Rng rng)
-    : BenignClient(id, train, std::move(model), sgd, distill_weight,
+    : BenignClient(id, train, architecture, sgd, distill_weight,
                    std::move(rng)),
       drift_penalty_(drift_penalty) {}
 
 ClientUpdate FedDcClient::compute_update(const RoundContext& ctx) {
-  auto& model = scratch_model();
   if (drift_.empty()) drift_ = tensor::zeros(ctx.global.size());
   if (drift_.size() != ctx.global.size()) {
     throw std::invalid_argument("FedDcClient: model size changed");
@@ -62,10 +62,11 @@ ClientUpdate FedDcClient::compute_update(const RoundContext& ctx) {
   tensor::FlatVec anchor(ctx.global.begin(), ctx.global.end());
   tensor::axpy_inplace(anchor, -1.0, drift_);
 
-  model.set_parameters(ctx.global);
-  nn::train_sgd_proximal(model, anchor, drift_penalty_, train_data(),
+  nn::ScratchModel model(architecture());
+  model->set_parameters(ctx.global);
+  nn::train_sgd_proximal(*model, anchor, drift_penalty_, train_data(),
                          sgd_config(), rng());
-  const tensor::FlatVec personal = model.get_parameters();
+  const tensor::FlatVec personal = model->get_parameters();
 
   // Drift correction with damping: h_i <- (1-m) h_i + m (theta_i -
   // theta^t). Plain accumulation makes h_i grow without bound when the
@@ -99,14 +100,14 @@ void FedDcClient::load_state(StateReader& r) {
 }
 
 tensor::FlatVec FedDcClient::eval_params(std::span<const float> global) {
-  auto& model = scratch_model();
-  model.set_parameters(global);
+  nn::ScratchModel model(architecture());
+  model->set_parameters(global);
   if (drift_.empty()) drift_ = tensor::zeros(global.size());
   tensor::FlatVec anchor(global.begin(), global.end());
   tensor::axpy_inplace(anchor, -1.0, drift_);
-  nn::train_sgd_proximal(model, anchor, drift_penalty_, train_data(),
+  nn::train_sgd_proximal(*model, anchor, drift_penalty_, train_data(),
                          sgd_config(), rng());
-  return model.get_parameters();
+  return model->get_parameters();
 }
 
 }  // namespace collapois::fl

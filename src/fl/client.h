@@ -13,13 +13,16 @@
 // Concurrency contract (runtime/thread_pool.h): the round loop calls
 // compute_update() on DISTINCT clients concurrently, and the evaluation
 // sweep does the same with eval_params(). Implementations may therefore
-// mutate only state owned by this client instance (its scratch model,
-// its RNG stream, its drift variables); anything shared across clients —
-// the broadcast ctx.global span, the training Dataset, a trigger, the
-// shared Trojaned model X — must be treated as read-only for the duration
-// of the call. State shared intentionally (the FaultModel's stale-model
-// cache) synchronizes internally. No client is ever called concurrently
-// with itself.
+// mutate only state owned by this client instance (its RNG stream, its
+// drift variables, its personal or poisoned data) plus the model they
+// borrow for the call: clients own no model, they lease one of their
+// architecture from the calling thread (nn/scratch.h), and nothing of it
+// survives the call. Anything shared across clients — the broadcast
+// ctx.global span, the training Dataset, a trigger, the shared Trojaned
+// model X — must be treated as read-only for the duration of the call.
+// State shared intentionally (the FaultModel's stale-model cache, the
+// interned architecture prototypes) synchronizes internally. No client is
+// ever called concurrently with itself.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "net/codec.h"
 #include "fl/update.h"
 #include "nn/model.h"
+#include "nn/scratch.h"
 #include "nn/sgd.h"
 #include "stats/rng.h"
 
@@ -66,19 +70,21 @@ class Client {
   virtual void distill_round(nn::Model& personal, nn::Model& teacher) = 0;
 
   // Checkpoint support: serialize exactly the state that evolves across
-  // rounds (local RNG streams, drift variables). Scratch models reset
-  // from the broadcast globals each round are NOT state. Writer and
+  // rounds (local RNG streams, drift variables). Borrowed scratch models,
+  // reset from the broadcast globals each call, are NOT state. Writer and
   // reader must mirror each other field-for-field.
   virtual void save_state(StateWriter& /*w*/) const {}
   virtual void load_state(StateReader& /*r*/) {}
 };
 
 // A legitimate participant: K local epochs of mini-batch SGD from the
-// broadcast model (Algorithm 1, lines 7-10).
+// broadcast model (Algorithm 1, lines 7-10). `architecture` only names
+// the layout the client trains (it is interned, never referenced).
 class BenignClient : public Client {
  public:
-  BenignClient(std::size_t id, const data::Dataset* train, nn::Model model,
-               nn::SgdConfig sgd, double distill_weight, stats::Rng rng);
+  BenignClient(std::size_t id, const data::Dataset* train,
+               const nn::Model& architecture, nn::SgdConfig sgd,
+               double distill_weight, stats::Rng rng);
 
   std::size_t id() const override { return id_; }
   ClientUpdate compute_update(const RoundContext& ctx) override;
@@ -87,18 +93,19 @@ class BenignClient : public Client {
   void load_state(StateReader& r) override;
 
  protected:
-  // Per-instance mutable state (scratch model, RNG stream) is safe to
-  // touch from compute_update()/eval_params() under the concurrency
-  // contract above; the dataset is shared and stays const.
+  // Per-instance mutable state (the RNG stream) is safe to touch from
+  // compute_update()/eval_params() under the concurrency contract above;
+  // the dataset is shared and stays const. Training borrows an
+  // nn::ScratchModel of architecture().
   const data::Dataset& train_data() const { return *train_; }
-  nn::Model& scratch_model() { return model_; }
+  const nn::Architecture& architecture() const { return arch_; }
   const nn::SgdConfig& sgd_config() const { return sgd_; }
   stats::Rng& rng() { return rng_; }
 
  private:
   std::size_t id_;
   const data::Dataset* train_;
-  nn::Model model_;
+  nn::Architecture arch_;
   nn::SgdConfig sgd_;
   double distill_weight_;
   stats::Rng rng_;
@@ -111,9 +118,9 @@ class BenignClient : public Client {
 // so the aggregate tracks mean(theta_i + h_i).
 class FedDcClient : public BenignClient {
  public:
-  FedDcClient(std::size_t id, const data::Dataset* train, nn::Model model,
-              nn::SgdConfig sgd, double drift_penalty, double distill_weight,
-              stats::Rng rng);
+  FedDcClient(std::size_t id, const data::Dataset* train,
+              const nn::Model& architecture, nn::SgdConfig sgd,
+              double drift_penalty, double distill_weight, stats::Rng rng);
 
   ClientUpdate compute_update(const RoundContext& ctx) override;
 

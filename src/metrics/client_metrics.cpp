@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "nn/eval.h"
+#include "nn/scratch.h"
 #include "runtime/parallel.h"
 #include "trojan/poison.h"
 
@@ -46,9 +47,11 @@ std::vector<ClientEval> evaluate_clients(
   }
 
   // The sweep dominates post-training time on large populations, so it
-  // runs on the pool: one task per client, each with its own inference
-  // model copy, results written by index (order-independent, so the
-  // output matches the sequential sweep exactly).
+  // runs on the pool: one task per client, each borrowing its worker's
+  // scratch model (nn/scratch.h), results written by index
+  // (order-independent, so the output matches the sequential sweep
+  // exactly).
+  const nn::Architecture arch(architecture);
   std::vector<ClientEval> out(targets.size());
   runtime::parallel_for(config.pool, targets.size(), [&](std::size_t k) {
     const std::size_t i = targets[k];
@@ -58,12 +61,15 @@ std::vector<ClientEval> evaluate_clients(
     const data::Dataset& test = split_of(i).test;
     if (!test.empty()) {
       e.has_test_data = true;
-      nn::Model model = architecture;
-      model.set_parameters(algo.client_eval_params(i));
-      e.benign_ac = nn::accuracy(model, test);
+      // Personalizing clients borrow a scratch of their own inside
+      // client_eval_params; take this one after it returns.
+      const tensor::FlatVec params = algo.client_eval_params(i);
+      nn::ScratchModel model(arch);
+      model->set_parameters(params);
+      e.benign_ac = nn::accuracy(*model, test);
       const data::Dataset trojaned =
           trojan::apply_trigger_all(test, eval_trigger, config.target_label);
-      e.attack_sr = nn::accuracy(model, trojaned);
+      e.attack_sr = nn::accuracy(*model, trojaned);
     }
     out[k] = e;
   });

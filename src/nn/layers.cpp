@@ -87,6 +87,10 @@ std::unique_ptr<Layer> Dense::clone() const {
   return c;
 }
 
+std::string Dense::signature() const {
+  return "Dense(" + std::to_string(in_) + "," + std::to_string(out_) + ")";
+}
+
 // ----------------------------------------------------------------- Relu
 
 Tensor Relu::forward(Tensor input) {
@@ -109,6 +113,8 @@ Tensor Relu::backward(Tensor grad_output) {
 }
 
 std::unique_ptr<Layer> Relu::clone() const { return std::make_unique<Relu>(); }
+
+std::string Relu::signature() const { return "Relu"; }
 
 // --------------------------------------------------------------- Conv2d
 
@@ -191,6 +197,11 @@ std::unique_ptr<Layer> Conv2d::clone() const {
   return c;
 }
 
+std::string Conv2d::signature() const {
+  return "Conv2d(" + std::to_string(cin_) + "," + std::to_string(cout_) +
+         "," + std::to_string(k_) + "," + std::to_string(pad_) + ")";
+}
+
 // ------------------------------------------------------------ MaxPool2d
 
 Tensor MaxPool2d::forward(Tensor input) {
@@ -222,6 +233,8 @@ std::unique_ptr<Layer> MaxPool2d::clone() const {
   return std::make_unique<MaxPool2d>();
 }
 
+std::string MaxPool2d::signature() const { return "MaxPool2d"; }
+
 // -------------------------------------------------------------- Flatten
 
 Tensor Flatten::forward(Tensor input) {
@@ -241,5 +254,7 @@ Tensor Flatten::backward(Tensor grad_output) {
 std::unique_ptr<Layer> Flatten::clone() const {
   return std::make_unique<Flatten>();
 }
+
+std::string Flatten::signature() const { return "Flatten"; }
 
 }  // namespace collapois::nn

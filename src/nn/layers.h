@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "stats/rng.h"
@@ -63,6 +64,11 @@ class Layer {
   // Deep copy (used to replicate architecture across simulator roles).
   virtual std::unique_ptr<Layer> clone() const = 0;
 
+  // Kind and shape, e.g. "Dense(32,64)": two layers with equal signatures
+  // are interchangeable up to their parameter values (nn/scratch.h keys
+  // its per-thread models by the concatenated signatures).
+  virtual std::string signature() const = 0;
+
   // Initialize parameters (He/Glorot-style); default no-op.
   virtual void init(stats::Rng& /*rng*/) {}
 
@@ -80,6 +86,7 @@ class Dense : public Layer {
   std::span<float> parameters() override { return params_; }
   std::span<float> gradients() override { return grads_; }
   std::unique_ptr<Layer> clone() const override;
+  std::string signature() const override;
   void init(stats::Rng& rng) override;
 
   std::size_t in_features() const { return in_; }
@@ -102,6 +109,7 @@ class Relu : public Layer {
   Tensor forward(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   std::unique_ptr<Layer> clone() const override;
+  std::string signature() const override;
 
  private:
   std::vector<std::uint64_t> active_mask_;  // bit i: input[i] > 0
@@ -129,6 +137,7 @@ class Conv2d : public Layer {
   std::span<float> parameters() override { return params_; }
   std::span<float> gradients() override { return grads_; }
   std::unique_ptr<Layer> clone() const override;
+  std::string signature() const override;
   void init(stats::Rng& rng) override;
 
  private:
@@ -154,6 +163,7 @@ class MaxPool2d : public Layer {
   Tensor forward(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   std::unique_ptr<Layer> clone() const override;
+  std::string signature() const override;
 
  private:
   std::vector<std::uint8_t> code_;
@@ -167,6 +177,7 @@ class Flatten : public Layer {
   Tensor forward(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   std::unique_ptr<Layer> clone() const override;
+  std::string signature() const override;
 
  private:
   std::vector<std::size_t> in_shape_;

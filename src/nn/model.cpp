@@ -95,6 +95,15 @@ tensor::FlatVec Model::get_gradients() const {
   return flat;
 }
 
+std::string Model::signature() const {
+  std::string s;
+  for (const auto& l : layers_) {
+    if (!s.empty()) s += ';';
+    s += l->signature();
+  }
+  return s;
+}
+
 void Model::sgd_step(double lr, double weight_decay) {
   for (auto& l : layers_) {
     auto p = l->parameters();

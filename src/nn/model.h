@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/layers.h"
@@ -60,6 +61,9 @@ class Model {
 
   // p -= lr * g for every parameter, with optional L2 weight decay.
   void sgd_step(double lr, double weight_decay = 0.0);
+
+  // Layer signatures in order, ';'-joined: the model's layout.
+  std::string signature() const;
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }

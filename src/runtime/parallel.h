@@ -5,7 +5,8 @@
 // is no separate code path to keep in sync. Because work is addressed by
 // index and results land in index order, the two modes are bit-identical
 // whenever the per-index bodies are independent (the simulator's clients
-// each own their RNG stream and scratch model, so they are).
+// each own their RNG stream and lease a per-thread scratch model that
+// keeps nothing between calls — nn/scratch.h — so they are).
 #pragma once
 
 #include <cstddef>

@@ -11,13 +11,10 @@ data::Dataset apply_trigger_all(const data::Dataset& d, const Trigger& trigger,
       static_cast<std::size_t>(target_label) >= d.num_classes()) {
     throw std::invalid_argument("apply_trigger_all: target label out of range");
   }
-  data::Dataset out(d.num_classes());
+  data::Dataset out(d.num_classes(), d.sample_shape());
   out.reserve(d.size());
-  for (const auto& e : d) {
-    data::Example p;
-    p.x = trigger.apply(e.x);
-    p.label = target_label;
-    out.add(std::move(p));
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    out.add_row(trigger.apply(d.example(i).x).data(), target_label);
   }
   return out;
 }
@@ -28,16 +25,15 @@ data::Dataset mix_poison(const data::Dataset& clean, const Trigger& trigger,
   if (poison_fraction < 0.0 || poison_fraction > 1.0) {
     throw std::invalid_argument("mix_poison: fraction must be in [0, 1]");
   }
-  data::Dataset out = clean;
   const std::size_t n_poison = static_cast<std::size_t>(
       poison_fraction * static_cast<double>(clean.size()));
-  if (n_poison == 0) return out;
+  if (n_poison == 0) return clean;
+  data::Dataset out(clean.num_classes(), clean.sample_shape());
+  out.reserve(clean.size() + n_poison);
+  out.append(clean);
   const auto picks = rng.sample_without_replacement(clean.size(), n_poison);
   for (std::size_t i : picks) {
-    data::Example p;
-    p.x = trigger.apply(clean[i].x);
-    p.label = target_label;
-    out.add(std::move(p));
+    out.add_row(trigger.apply(clean.example(i).x).data(), target_label);
   }
   return out;
 }

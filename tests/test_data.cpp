@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "data/partition.h"
@@ -28,7 +29,7 @@ TEST(Dataset, AddSubsetHistogram) {
   const std::vector<std::size_t> idx = {0, 3};
   const Dataset sub = d.subset(idx);
   EXPECT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub[1].label, 2);
+  EXPECT_EQ(sub.label(1), 2);
 }
 
 TEST(Dataset, CumulativeLabelDistribution) {
@@ -104,6 +105,122 @@ TEST(Batch, StacksExamples) {
   EXPECT_EQ(b.labels, (std::vector<int>{0, 0}));
   EXPECT_THROW(make_batch(d, std::vector<std::size_t>{}),
                std::invalid_argument);
+}
+
+// ---- feature-block layout vs the per-example assembly it replaced -----
+
+// One Example per sample, drawn in generate()'s order: the layout the
+// contiguous feature block replaced.
+std::vector<Example> per_example(const SyntheticImageGenerator& gen,
+                                 const std::vector<std::size_t>& counts,
+                                 stats::Rng& rng) {
+  std::vector<Example> out;
+  for (std::size_t cls = 0; cls < counts.size(); ++cls) {
+    for (std::size_t i = 0; i < counts[cls]; ++i) {
+      out.push_back(gen.sample(static_cast<int>(cls), rng));
+    }
+  }
+  return out;
+}
+
+void expect_rows_equal(const Dataset& d,
+                       const std::vector<const Example*>& ref) {
+  ASSERT_EQ(d.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const auto row = d.row(i);
+    ASSERT_EQ(row.size(), ref[i]->x.size());
+    EXPECT_EQ(0, std::memcmp(row.data(), ref[i]->x.data().data(),
+                             row.size() * sizeof(float)))
+        << "row " << i;
+    EXPECT_EQ(d.label(i), ref[i]->label) << "row " << i;
+  }
+}
+
+class DatasetBlock : public ::testing::Test {
+ protected:
+  DatasetBlock() : gen_({}, 41), counts_({3, 0, 5, 1, 0, 0, 7, 0, 2, 4}) {
+    stats::Rng a(42);
+    stats::Rng b(42);
+    block_ = gen_.generate(counts_, a);
+    examples_ = per_example(gen_, counts_, b);
+    rng_state_matches_ = a.next_u64() == b.next_u64();
+  }
+
+  std::vector<const Example*> refs(const std::vector<std::size_t>& idx) const {
+    std::vector<const Example*> out;
+    for (std::size_t i : idx) out.push_back(&examples_[i]);
+    return out;
+  }
+
+  SyntheticImageGenerator gen_;
+  std::vector<std::size_t> counts_;
+  Dataset block_;
+  std::vector<Example> examples_;
+  bool rng_state_matches_ = false;
+};
+
+TEST_F(DatasetBlock, GenerateWritesTheSampledRowsInPlace) {
+  EXPECT_TRUE(rng_state_matches_);
+  EXPECT_EQ(block_.sample_shape(), examples_[0].x.shape());
+  EXPECT_EQ(block_.row_size(), examples_[0].x.size());
+  std::vector<std::size_t> all(examples_.size());
+  std::iota(all.begin(), all.end(), 0);
+  expect_rows_equal(block_, refs(all));
+  const Example e = block_.example(5);
+  EXPECT_EQ(e.x.shape(), examples_[5].x.shape());
+  EXPECT_EQ(e.x.storage(), examples_[5].x.storage());
+  EXPECT_EQ(e.label, examples_[5].label);
+}
+
+TEST_F(DatasetBlock, SubsetAndAppendMatchPerExampleAssembly) {
+  const std::vector<std::size_t> idx = {21, 0, 4, 4, 13, 8};
+  const Dataset sub = block_.subset(idx);
+  expect_rows_equal(sub, refs(idx));
+
+  Dataset joined;  // shapeless: the first non-empty append fixes it
+  joined.append(Dataset(block_.num_classes()));
+  joined.append(sub);
+  joined.append(block_.subset(std::vector<std::size_t>{1, 2}));
+  expect_rows_equal(joined, refs({21, 0, 4, 4, 13, 8, 1, 2}));
+
+  Dataset text(block_.num_classes(), {32});
+  EXPECT_THROW(text.append(sub), std::invalid_argument);
+  EXPECT_THROW(joined.add(Example{Tensor({2}), 0}), std::invalid_argument);
+}
+
+TEST_F(DatasetBlock, SplitMatchesPerExampleAssembly) {
+  stats::Rng a(43);
+  stats::Rng b(43);
+  const ClientSplit split = split_client_data(block_, a);
+  std::vector<std::size_t> idx(block_.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  b.shuffle(idx);
+  const std::size_t n_train = 15;  // 70% of 22
+  const std::size_t n_test = 3;    // 15% of 22
+  expect_rows_equal(split.train, refs({idx.begin(), idx.begin() + n_train}));
+  expect_rows_equal(split.test, refs({idx.begin() + n_train,
+                                      idx.begin() + n_train + n_test}));
+  expect_rows_equal(split.validation,
+                    refs({idx.begin() + n_train + n_test, idx.end()}));
+}
+
+TEST_F(DatasetBlock, MakeBatchMatchesStackedExamples) {
+  const std::vector<std::size_t> idx = {7, 3, 19, 3};
+  const Batch b = make_batch(block_, idx);
+  std::vector<std::size_t> shape = {idx.size()};
+  for (std::size_t dim : examples_[0].x.shape()) shape.push_back(dim);
+  EXPECT_EQ(b.x.shape(), shape);
+  std::vector<float> stacked;
+  std::vector<int> labels;
+  for (std::size_t i : idx) {
+    stacked.insert(stacked.end(), examples_[i].x.data().begin(),
+                   examples_[i].x.data().end());
+    labels.push_back(examples_[i].label);
+  }
+  ASSERT_EQ(b.x.size(), stacked.size());
+  EXPECT_EQ(0, std::memcmp(b.x.data().data(), stacked.data(),
+                           stacked.size() * sizeof(float)));
+  EXPECT_EQ(b.labels, labels);
 }
 
 TEST(ImageGenerator, ShapesAndRanges) {

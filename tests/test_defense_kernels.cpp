@@ -13,12 +13,15 @@
 #include <cstring>
 #include <vector>
 
+#include "data/synthetic_text.h"
 #include "defense/defense_kernels.h"
 #include "kernels/cpu_dispatch.h"
+#include "nn/zoo.h"
 #include "defense/flare.h"
 #include "defense/krum.h"
 #include "defense/median.h"
 #include "defense/rlr.h"
+#include "fl/client.h"
 #include "fl/update_matrix.h"
 #include "runtime/thread_pool.h"
 #include "sim/runner.h"
@@ -275,6 +278,57 @@ TEST(DefenseKernelDispatch, CoordinateOpsBitIdenticalAcrossTiers) {
       EXPECT_EQ(0, std::memcmp(rlr.data(), rlr0.data(), d * sizeof(float)));
       EXPECT_EQ(0, std::memcmp(sign.data(), sign0.data(), d * sizeof(float)));
     }
+  }
+}
+
+// Where RLR trajectories part across tiers. A Sentiment RLR campaign
+// prints a different dist_to_x on avx2 and scalar after ~50 rounds; the
+// vote is not the cause. The same cohort (here a one-update cohort, the
+// round that first shows the gap) aggregates to the same bytes on every
+// tier, while the local update a client computes on the MLP head already
+// differs by FMA rounding in the Dense GEMMs. RLR's per-coordinate sign
+// flip then amplifies that rounding until it reaches the printed digits.
+TEST(DefenseKernelDispatch, RlrTiersPartInLocalTrainingNotInTheVote) {
+  TierGuard guard;
+  data::SyntheticTextGenerator gen({}, 51);
+  stats::Rng data_rng(52);
+  const std::vector<std::size_t> counts = {28, 28};
+  const data::Dataset train = gen.generate(counts, data_rng);
+  nn::Model arch = nn::make_mlp_head({});
+  stats::Rng init_rng(53);
+  arch.init(init_rng);
+  const tensor::FlatVec global = arch.get_parameters();
+
+  std::vector<tensor::FlatVec> updates;
+  std::vector<tensor::FlatVec> aggregates;
+  for (const auto tier : kernels::available_tiers()) {
+    kernels::set_active_tier(tier);
+    fl::BenignClient client(0, &train, arch, nn::SgdConfig{}, 0.5,
+                            stats::Rng(54));
+    fl::RoundContext ctx;
+    ctx.global = global;
+    std::vector<fl::ClientUpdate> cohort = {client.compute_update(ctx)};
+    updates.push_back(cohort[0].delta);
+    // Every tier votes on the first tier's update.
+    cohort[0].delta = updates.front();
+    RlrAggregator rlr(RlrConfig{});
+    aggregates.push_back(rlr.aggregate(cohort, global));
+  }
+  for (std::size_t t = 1; t < updates.size(); ++t) {
+    SCOPED_TRACE(kernels::isa_tier_name(kernels::available_tiers()[t]));
+    ASSERT_EQ(aggregates[t].size(), aggregates[0].size());
+    EXPECT_EQ(0, std::memcmp(aggregates[t].data(), aggregates[0].data(),
+                             aggregates[0].size() * sizeof(float)));
+    // The local updates agree to FMA rounding, not necessarily in bits.
+    ASSERT_EQ(updates[t].size(), updates[0].size());
+    int differing = 0;
+    for (std::size_t j = 0; j < updates[0].size(); ++j) {
+      EXPECT_NEAR(updates[t][j], updates[0][j],
+                  1e-4 * (std::fabs(updates[0][j]) + 1e-3))
+          << "coordinate " << j;
+      if (updates[t][j] != updates[0][j]) ++differing;
+    }
+    RecordProperty("update_coordinates_differing", differing);
   }
 }
 
